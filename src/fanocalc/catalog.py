@@ -11,6 +11,7 @@ class on the final threefold.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,6 +23,8 @@ from .errors import GeometryError, NoRecipeError, UnknownFamilyError
 from .parser import FamilyId, parse_family_id
 
 DATA_ENV_VAR = "FANOCALC_DATA"
+
+_GENUS = re.compile(r"\bgenus (\d+)")
 
 _TSV_COLUMNS = [
     "id", "rho", "index", "epsilon", "eps_status", "dp_degrees",
@@ -122,9 +125,9 @@ class Catalog:
 
     def index_one_by_genus(self, genus: int) -> FanoFamilyRecord:
         """The Picard-rank-one, index-one family of the given genus."""
-        needle = f"genus {genus}"
         for rec in self.families(rho=1):
-            if rec.index == 1 and needle in rec.description:
+            match = _GENUS.search(rec.description)
+            if rec.index == 1 and match and int(match.group(1)) == genus:
                 return rec
         raise UnknownFamilyError(f"no rank-one index-one family of genus {genus}")
 

@@ -75,11 +75,15 @@ ClassExpr = Union[Sym, Num, Neg, Add, Sub, Mul, Pow]
 
 
 def degree(expr: ClassExpr) -> Optional[int]:
-    """Homogeneity degree of an expression, or None if inhomogeneous."""
+    """Homogeneity degree of an expression, or None if it has no single one.
+
+    That is the case for an inhomogeneous expression and for any expression
+    with a literal zero in it, since the zero polynomial has every degree.
+    """
     if isinstance(expr, Sym):
         return 1
     if isinstance(expr, Num):
-        return 0
+        return 0 if expr.value else None
     if isinstance(expr, Neg):
         return degree(expr.arg)
     if isinstance(expr, (Add, Sub)):

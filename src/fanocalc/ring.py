@@ -14,6 +14,7 @@ immutable and all operations are pure.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -178,17 +179,13 @@ class VarietyModel:
                 raise ForeignClassError("divisor class belongs to a different model")
             return source
         expr = pmod.parse_class_expr(source) if isinstance(source, str) else source
-        monomials = _expand(self, expr)
         coeffs = [Fraction(0)] * len(self.basis)
-        for exps, c in monomials.items():
-            total = sum(exps)
-            if total == 0:
-                if c != 0:
-                    raise DegreeError("class expression has a nonzero constant term")
-                continue
-            if total != 1:
+        for key, c in _expand(self, expr).items():
+            if not key:
+                raise DegreeError("class expression has a nonzero constant term")
+            if len(key) != 1:
                 raise DegreeError("class expression is not linear in the basis symbols")
-            coeffs[exps.index(1)] += c
+            coeffs[key[0]] += c
         return DivisorClass(self, tuple(coeffs))
 
     # -- evaluation conveniences ------------------------------------------
@@ -208,6 +205,68 @@ class VarietyModel:
 # --------------------------------------------------------------------------
 
 
+_Poly = dict[tuple[int, ...], Fraction]  # sorted basis-index tuple -> coefficient
+
+
+def _poly_add(a: _Poly, b: _Poly, sign: int = 1) -> _Poly:
+    out = dict(a)
+    for k, v in b.items():
+        s = out.get(k, 0) + sign * v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _poly_mul(a: _Poly, b: _Poly, max_deg: Optional[int] = None) -> _Poly:
+    """Product of two polynomials in the basis symbols, dropping monomials
+    of degree above ``max_deg``."""
+    out: _Poly = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            if max_deg is not None and len(ka) + len(kb) > max_deg:
+                continue
+            k = tuple(sorted(ka + kb))
+            s = out.get(k, 0) + va * vb
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
+
+
+def _without(key: tuple[int, ...], sub: Iterable[int]) -> tuple[int, ...]:
+    """The sorted index tuple ``key`` with one occurrence of each of ``sub`` removed."""
+    rest = list(key)
+    for i in sub:
+        rest.remove(i)
+    return tuple(rest)
+
+
+def _contract(
+    entries: Mapping[tuple[int, ...], Fraction], vectors: Sequence[Sequence[Fraction]]
+) -> Fraction:
+    """Form with the given entries applied to coefficient vectors.
+
+    Only stored keys are visited: a key contributes its value times the sum,
+    over its distinct orderings, of the matching coefficient products.
+    """
+    total = Fraction(0)
+    for key, value in entries.items():
+        coeff = 0
+        for perm in set(itertools.permutations(key)):
+            term = 1
+            for vec, i in zip(vectors, perm):
+                term *= vec[i]
+                if not term:
+                    break
+            coeff += term
+        if coeff:
+            total += coeff * value
+    return total
+
+
 def intersection_number(model: VarietyModel, classes: Sequence[DivisorClass]) -> Fraction:
     """Multilinear extension of the model's form; exact rational."""
     n = model.dimension
@@ -218,62 +277,30 @@ def intersection_number(model: VarietyModel, classes: Sequence[DivisorClass]) ->
             raise TypeError(f"expected a divisor class, got {c!r}")
         if c.model is not model:
             raise ForeignClassError("divisor class belongs to a different model")
-    m = len(model.basis)
-    total = Fraction(0)
-    for indices in itertools.product(range(m), repeat=n):
-        coeff = Fraction(1)
-        for cls, i in zip(classes, indices):
-            coeff *= cls.coeffs[i]
-            if coeff == 0:
-                break
-        if coeff != 0:
-            total += coeff * model.form.value(indices)
-    return total
+    return _contract(model.form.entries, [c.coeffs for c in classes])
 
 
-def _expand(model: VarietyModel, expr: pmod.ClassExpr) -> dict[tuple[int, ...], Fraction]:
-    """Expand an expression into monomials keyed by basis exponent vectors."""
-    m = len(model.basis)
-    zero_key = (0,) * m
+def _expand(model: VarietyModel, expr: pmod.ClassExpr) -> _Poly:
+    """Expand an expression into monomials keyed by sorted basis-index tuples."""
 
-    def merge(a, b, sign=1):
-        out = dict(a)
-        for k, v in b.items():
-            out[k] = out.get(k, Fraction(0)) + sign * v
-            if out[k] == 0:
-                del out[k]
-        return out
-
-    def mul(a, b):
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ka, va in a.items():
-            for kb, vb in b.items():
-                k = tuple(x + y for x, y in zip(ka, kb))
-                out[k] = out.get(k, Fraction(0)) + va * vb
-                if out[k] == 0:
-                    del out[k]
-        return out
-
-    def walk(e) -> dict[tuple[int, ...], Fraction]:
+    def walk(e) -> _Poly:
         if isinstance(e, pmod.Sym):
-            i = model.basis_index(e.name)
-            key = tuple(int(j == i) for j in range(m))
-            return {key: Fraction(1)}
+            return {(model.basis_index(e.name),): Fraction(1)}
         if isinstance(e, pmod.Num):
-            return {zero_key: e.value} if e.value else {}
+            return {(): e.value} if e.value else {}
         if isinstance(e, pmod.Neg):
             return {k: -v for k, v in walk(e.arg).items()}
         if isinstance(e, pmod.Add):
-            return merge(walk(e.left), walk(e.right))
+            return _poly_add(walk(e.left), walk(e.right))
         if isinstance(e, pmod.Sub):
-            return merge(walk(e.left), walk(e.right), sign=-1)
+            return _poly_add(walk(e.left), walk(e.right), sign=-1)
         if isinstance(e, pmod.Mul):
-            return mul(walk(e.left), walk(e.right))
+            return _poly_mul(walk(e.left), walk(e.right))
         if isinstance(e, pmod.Pow):
             base = walk(e.base)
-            out = {zero_key: Fraction(1)}
+            out = {(): Fraction(1)}
             for _ in range(e.exp):
-                out = mul(out, base)
+                out = _poly_mul(out, base)
             return out
         raise TypeError(f"not a class expression: {e!r}")
 
@@ -281,21 +308,25 @@ def _expand(model: VarietyModel, expr: pmod.ClassExpr) -> dict[tuple[int, ...], 
 
 
 def evaluate(model: VarietyModel, expr: Union[str, pmod.ClassExpr]) -> Fraction:
-    """Value of a degree-n polynomial in basis symbols under the form."""
+    """Value of a degree-n polynomial in basis symbols under the form.
+
+    An expression whose syntactic degree is a number other than n is
+    rejected before it is expanded, even if it would cancel to zero.
+    """
     ast = pmod.parse_class_expr(expr) if isinstance(expr, str) else expr
-    monomials = _expand(model, ast)
     n = model.dimension
+    found = pmod.degree(ast)
+    if found is not None and found != n:
+        raise DegreeError(f"expression is not homogeneous of degree {n} on {model.name} "
+                          f"(it has degree {found})")
     total = Fraction(0)
-    for exps, coeff in monomials.items():
-        if sum(exps) != n:
+    for key, coeff in _expand(model, ast).items():
+        if len(key) != n:
             raise DegreeError(
                 f"expression is not homogeneous of degree {n} on {model.name} "
-                f"(found a degree-{sum(exps)} monomial)"
+                f"(found a degree-{len(key)} monomial)"
             )
-        indices: list[int] = []
-        for i, e in enumerate(exps):
-            indices.extend([i] * e)
-        total += coeff * model.form.value(indices)
+        total += coeff * model.form.entries.get(key, 0)
     return total
 
 
@@ -385,34 +416,20 @@ def make_product(factors: Sequence[VarietyModel]) -> VarietyModel:
     for f in factors:
         for b in f.basis:
             counts[b] = counts.get(b, 0) + 1
-    basis: list[str] = []
-    owner: list[int] = []  # product index -> factor position
-    local: list[int] = []  # product index -> index within factor
-    for pos, f in enumerate(factors):
-        for j, b in enumerate(f.basis):
-            name = f"{b}{pos + 1}" if counts[b] > 1 else b
-            basis.append(name)
-            owner.append(pos)
-            local.append(j)
+    basis = [
+        f"{b}{pos + 1}" if counts[b] > 1 else b
+        for pos, f in enumerate(factors)
+        for b in f.basis
+    ]
     if len(set(basis)) != len(basis):
         raise GeometryError(f"could not disambiguate product basis names: {basis}")
 
+    # Kuenneth: a stored key of the product joins one stored key per factor
+    offsets = list(itertools.accumulate((len(f.basis) for f in factors[:-1]), initial=0))
     entries: dict[tuple[int, ...], Fraction] = {}
-    for tup in itertools.combinations_with_replacement(range(len(basis)), n):
-        groups: dict[int, list[int]] = {}
-        for i in tup:
-            groups.setdefault(owner[i], []).append(local[i])
-        value = Fraction(1)
-        for pos, f in enumerate(factors):
-            sub = groups.get(pos, [])
-            if len(sub) != f.dimension:
-                value = Fraction(0)
-                break
-            value *= f.form.value(sub)
-            if value == 0:
-                break
-        if value != 0:
-            entries[tup] = value
+    for combo in itertools.product(*(f.form.entries.items() for f in factors)):
+        key = tuple(off + i for off, (k, _) in zip(offsets, combo) for i in k)
+        entries[key] = math.prod(v for _, v in combo)
 
     antican: list[Fraction] = []
     ample: list[Fraction] = []
@@ -432,21 +449,6 @@ def make_product(factors: Sequence[VarietyModel]) -> VarietyModel:
 
 # ---- split projective bundles --------------------------------------------
 
-_BasePoly = dict[tuple[int, ...], Fraction]  # base exponent vector -> coeff
-
-
-def _poly_mul(a: _BasePoly, b: _BasePoly, max_deg: int) -> _BasePoly:
-    out: _BasePoly = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            if sum(k) > max_deg:
-                continue
-            out[k] = out.get(k, Fraction(0)) + va * vb
-            if out[k] == 0:
-                del out[k]
-    return out
-
 
 def make_projective_bundle(base: VarietyModel, summands: Sequence[DivisorClass]) -> VarietyModel:
     r = len(summands)
@@ -461,70 +463,31 @@ def make_projective_bundle(base: VarietyModel, summands: Sequence[DivisorClass])
 
     m = len(base.basis)
     d = base.dimension
-    zero = (0,) * m
 
-    # elementary symmetric polynomials of the summand linear forms, as
-    # polynomials in the base basis symbols: prod_i (t + a_i)
-    linear_forms: list[_BasePoly] = []
+    # zeta satisfies prod_i (zeta - a_i) = 0, so zeta^(r-1+t) pushes forward
+    # to the complete homogeneous polynomial h_t(a_1, ..., a_r) (Fulton,
+    # Intersection Theory, 3.2).  The sum of all h_t up to degree d is the
+    # product of the geometric series 1/(1 - a_i).
+    h: _Poly = {(): Fraction(1)}
     for s in summands:
-        form: _BasePoly = {}
-        for i, c in enumerate(s.coeffs):
-            if c != 0:
-                key = tuple(int(j == i) for j in range(m))
-                form[key] = c
-        linear_forms.append(form)
-    elem: list[_BasePoly] = [{zero: Fraction(1)}] + [{} for _ in range(r)]
-    for lf in linear_forms:
-        new = [dict(e) for e in elem]
-        for k in range(r, 0, -1):
-            prod = _poly_mul(elem[k - 1], lf, d)
-            for key, v in prod.items():
-                new[k][key] = new[k].get(key, Fraction(0)) + v
-                if new[k][key] == 0:
-                    del new[k][key]
-        elem = new
+        a = {(i,): c for i, c in enumerate(s.coeffs) if c != 0}
+        series = power = {(): Fraction(1)}
+        for _ in range(d):
+            power = _poly_mul(power, a, d)
+            series = _poly_add(series, power)
+        h = _poly_mul(h, series, d)
 
-    def reduce_value(zeta_power: int, mono: tuple[int, ...]) -> Fraction:
-        """Top intersection of zeta^j times a base monomial."""
-        terms: dict[tuple[int, tuple[int, ...]], Fraction] = {(zeta_power, mono): Fraction(1)}
-        while True:
-            hot = [(zp, mk) for (zp, mk) in terms if zp >= r]
-            if not hot:
-                break
-            zp, mk = max(hot)
-            coeff = terms.pop((zp, mk))
-            # zeta^r = sum_{k>=1} (-1)^(k+1) e_k zeta^(r-k)
-            for k in range(1, r + 1):
-                sign = Fraction(1) if k % 2 == 1 else Fraction(-1)
-                for ek_key, ek_val in elem[k].items():
-                    new_mono = tuple(x + y for x, y in zip(mk, ek_key))
-                    if sum(new_mono) > d:
-                        continue
-                    key = (zp - k, new_mono)
-                    terms[key] = terms.get(key, Fraction(0)) + sign * coeff * ek_val
-                    if terms[key] == 0:
-                        del terms[key]
-        total = Fraction(0)
-        for (zp, mk), coeff in terms.items():
-            if zp == r - 1 and sum(mk) == d:
-                indices: list[int] = []
-                for i, e in enumerate(mk):
-                    indices.extend([i] * e)
-                total += coeff * base.form.value(indices)
-        return total
-
-    basis = list(base.basis) + ["zeta"]
-    zeta_idx = m
+    # zeta^(r-1+t) * mu has degree sum_T h[T] * F(mu + T) over the monomials
+    # T of h_t, so each stored base key K feeds mu = K - T for every
+    # sub-multiset T of K
+    zeta = m
     entries: dict[tuple[int, ...], Fraction] = {}
-    for tup in itertools.combinations_with_replacement(range(m + 1), n):
-        j = tup.count(zeta_idx)
-        mono = [0] * m
-        for i in tup:
-            if i != zeta_idx:
-                mono[i] += 1
-        value = reduce_value(j, tuple(mono))
-        if value != 0:
-            entries[tup] = value
+    for key, value in base.form.entries.items():
+        for t in range(d + 1):
+            for sub in set(itertools.combinations(key, t)):
+                if sub in h:
+                    k = _without(key, sub) + (zeta,) * (r - 1 + t)
+                    entries[k] = entries.get(k, 0) + h[sub] * value
 
     antican = [Fraction(0)] * m + [Fraction(r)]
     for i, c in enumerate(base.anticanonical.coeffs):
@@ -533,24 +496,23 @@ def make_projective_bundle(base: VarietyModel, summands: Sequence[DivisorClass])
         for i, c in enumerate(s.coeffs):
             antican[i] -= c
 
-    model_name = f"P(E->{base.name})"
-    # zeta alone need not be positive; shift by pulled-back ample multiples
-    # until the top self-intersection is positive
+    # zeta alone need not be positive; shift by the least pulled-back ample
+    # multiple that makes the top self-intersection positive
     for shift in range(0, 64):
         ample = [(1 + shift) * c for c in base.ample_ref.coeffs] + [Fraction(1)]
-        try:
-            return VarietyModel(
-                name=model_name,
-                dimension=n,
-                basis=basis,
-                entries=entries,
-                anticanonical=antican,
-                ample_ref=ample,
-                aliases=dict(base.aliases),
-            )
-        except GeometryError:
-            continue
-    raise GeometryError("could not find a positive reference class for the bundle")
+        if _contract(entries, [ample] * n) > 0:
+            break
+    else:
+        raise GeometryError("could not find a positive reference class for the bundle")
+    return VarietyModel(
+        name=f"P(E->{base.name})",
+        dimension=n,
+        basis=list(base.basis) + ["zeta"],
+        entries=entries,
+        anticanonical=antican,
+        ample_ref=ample,
+        aliases=dict(base.aliases),
+    )
 
 
 def make_blowup(ambient: VarietyModel, center: BlowupCenter) -> VarietyModel:
@@ -576,20 +538,13 @@ def make_blowup(ambient: VarietyModel, center: BlowupCenter) -> VarietyModel:
         degrees = None
         e_top = Fraction(1) if n == 3 else Fraction(-1)
 
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for tup in itertools.combinations_with_replacement(range(m + 1), n):
-        c = tup.count(e_idx)
-        rest = [i for i in tup if i != e_idx]
-        if c == 0:
-            value = ambient.form.value(rest)
-        elif c == n:
-            value = e_top
-        elif n == 3 and c == 2 and center.kind == "curve":
-            value = Fraction(-degrees[rest[0]])
-        else:
-            value = Fraction(0)
-        if value != 0:
-            entries[tup] = value
+    # Fulton, Intersection Theory, 6.7: ambient products are unchanged, E
+    # meets them only in E^n and, for a curve, D.E^2 = -D.C
+    entries = dict(ambient.form.entries)
+    entries[(e_idx,) * n] = e_top
+    if degrees is not None:
+        for i, dg in enumerate(degrees):
+            entries[(i, e_idx, e_idx)] = Fraction(-dg)
 
     # exceptional coefficient of -K is codim - 1: -2E for a point on a
     # threefold, -E for a curve or a point on a surface
@@ -651,16 +606,15 @@ def make_divisor_in(ambient: VarietyModel, hypersurface_class: DivisorClass) -> 
             f"hypersurface class is numerically trivial against the reference class "
             f"({positivity})"
         )
-    m = len(ambient.basis)
     h = hypersurface_class.coeffs
+    # D1.D2.D3 on the hypersurface is D1.D2.D3.h on the ambient: each stored
+    # key K feeds K minus one i, once per distinct index i of K
     entries: dict[tuple[int, ...], Fraction] = {}
-    for tup in itertools.combinations_with_replacement(range(m), 3):
-        value = Fraction(0)
-        for i in range(m):
+    for key, value in ambient.form.entries.items():
+        for i in dict.fromkeys(key):
             if h[i] != 0:
-                value += h[i] * ambient.form.value(tup + (i,))
-        if value != 0:
-            entries[tup] = value
+                k = _without(key, (i,))
+                entries[k] = entries.get(k, 0) + h[i] * value
     antican = [a_ - b_ for a_, b_ in zip(ambient.anticanonical.coeffs, h)]
     return VarietyModel(
         name=f"D({ambient.name})",

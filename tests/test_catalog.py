@@ -81,6 +81,11 @@ class TestRecords:
         assert str(rec.id) == "1.3"
         with pytest.raises(UnknownFamilyError):
             load_catalog().index_one_by_genus(11)
+        # genus 1 must not match "genus 10" or "genus 12"
+        with pytest.raises(UnknownFamilyError):
+            load_catalog().index_one_by_genus(1)
+        assert str(load_catalog().index_one_by_genus(10).id) == "1.9"
+        assert str(load_catalog().index_one_by_genus(12).id) == "1.10"
 
     def test_non_bpf_set(self):
         assert {str(r.id) for r in list_families() if r.non_bpf} == {"2.1", "10.1"}

@@ -64,6 +64,10 @@ class TestClassExpr:
     def test_degree_of_scalar(self):
         assert degree(parse_class_expr("3")) == 0
 
+    def test_degree_of_literal_zero_is_none(self):
+        assert degree(parse_class_expr("0")) is None
+        assert degree(parse_class_expr("0*H^2+H^3")) is None
+
 
 class TestErrors:
     def test_error_carries_offset(self):

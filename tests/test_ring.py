@@ -60,6 +60,23 @@ class TestProjectiveSpace:
             make_projective_space(5)
 
 
+class TestEarlyDegreeCheck:
+    def test_wrong_degree_rejected_before_expansion(self, monkeypatch):
+        def no_expansion(*args):
+            raise AssertionError("the expression was expanded")
+
+        monkeypatch.setattr(ring, "_expand", no_expansion)
+        with pytest.raises(DegreeError):
+            make_product([P(1), P(1), P(1)]).evaluate("(H1+H2+H3)^60")
+
+    def test_cancelling_expression_of_wrong_degree_rejected(self):
+        with pytest.raises(DegreeError):
+            P(3).evaluate("H^4-H^4")
+
+    def test_literal_zero_has_every_degree(self):
+        assert P(3).evaluate("0*H^2") == 0
+
+
 class TestDelPezzoThreefold:
     def test_degree_and_index(self):
         m = make_del_pezzo_threefold(1)
