@@ -15,7 +15,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from typing import Callable, Iterable, Optional
 
 from . import ring
@@ -139,7 +138,7 @@ def data_path() -> str:
     override = os.environ.get(DATA_ENV_VAR)
     if override:
         return override
-    return str(resources.files("fanocalc").joinpath("data/fano_families.tsv"))
+    return os.path.join(os.path.dirname(__file__), "data", "fano_families.tsv")
 
 
 @lru_cache(maxsize=None)
@@ -172,19 +171,16 @@ def list_families(**kwargs) -> list[FanoFamilyRecord]:
 class FamilyRecipe:
     """How to build a family's threefold and a splitting of -K on it.
 
-    For blow-up families ``middle`` describes Y and ``pencil`` the class L
-    on Y.  With ``ci_center=True`` the center is the complete intersection
-    of two members of |L|: its degrees and genus are derived from L and the
-    splitting is (f*L - E, -K - f*L + E).  Otherwise an explicit center
-    and/or explicit splitting expressions (on the final model) are given.
+    With ``ci_center=True``, ``middle`` describes Y and ``pencil`` the class
+    L on Y: the center is the complete intersection of two members of |L|
+    and the splitting is (f*L - E, -K - f*L + E).  Otherwise ``middle``
+    describes the threefold itself and ``splitting`` gives the two parts.
     """
 
     family: FamilyId
     middle: str
     pencil: Optional[str] = None
     ci_center: bool = False
-    center_genus: Optional[int] = None
-    center_degrees: Optional[tuple[tuple[str, int], ...]] = None
     splitting: Optional[tuple[str, str]] = None
     triple: Optional[tuple[str, str, str]] = None
     free: tuple[bool, bool] = (True, True)
@@ -194,7 +190,7 @@ class FamilyRecipe:
 @dataclass(frozen=True)
 class RealizedFamily:
     family: FamilyId
-    middle: ring.VarietyModel          # Y (equals model when nothing is blown up)
+    middle: ring.VarietyModel          # Y (equals model unless ci_center)
     model: ring.VarietyModel           # X
     pencil: Optional[ring.DivisorClass]  # L on Y
     center: Optional[ring.BlowupCenter]
@@ -248,10 +244,7 @@ RECIPES: dict[FamilyId, FamilyRecipe] = {
         _ci("3.4", "double_cover(prod(P(1),P(2)), half_branch=H1+H2)", "H2"),
         FamilyRecipe(
             _fid("3.5"),
-            "prod(P(1),P(2))",
-            pencil="H1+3*H2",
-            center_genus=0,
-            center_degrees=(("H1", 5), ("H2", 2)),
+            "blowup_curve(prod(P(1),P(2)), genus=0, degrees={H1:5, H2:2})",
             splitting=("H1+3*H2-E", "H1"),
         ),
         _ci("3.7", "divisor_in(prod(P(2),P(2)), H1+H2)", "H1+H2"),
@@ -341,9 +334,6 @@ def realize_recipe(family: FamilyId) -> RealizedFamily:
     model = middle
     if rec.ci_center:
         center = ci_curve_center(middle, pencil)
-        model = ring.make_blowup(middle, center)
-    elif rec.center_degrees is not None:
-        center = ring.BlowupCenter("curve", rec.center_genus, rec.center_degrees)
         model = ring.make_blowup(middle, center)
 
     if rec.splitting is not None:

@@ -139,8 +139,8 @@ def classify_splitting(s: Splitting, ell_hint: Optional[int] = None) -> Classifi
                 "none", None, Fraction(3), ("no pencil", "min curve degree >= 3")
             )
         return ClassificationOutcome("none", None, Fraction(2), ("no pencil",))
-    side = "first" if p1 else "second"
-    d = splitting_fiber_degree(s, side)
+    side, pencil, other = ("first", s.d1, s.d2) if p1 else ("second", s.d2, s.d1)
+    d = ring.intersection_number(s.model, [other, other, pencil])
     if d.denominator != 1 or d < 1:
         raise InconsistentModelError(f"fiber degree {d} is not a positive integer")
     d = int(d)
@@ -168,14 +168,21 @@ def _splitting_of(real: catalog.RealizedFamily) -> Splitting:
     )
 
 
+def classify_family(
+    rec: catalog.FanoFamilyRecord,
+) -> tuple[catalog.RealizedFamily, ClassificationOutcome]:
+    """Realize a family's curated recipe and classify its splitting."""
+    real = catalog.realize_recipe(rec.id)
+    return real, classify_splitting(_splitting_of(real), ell_hint=rec.ell)
+
+
 def epsilon_of_family(family: FamilyId | str) -> EpsilonResult:
     """Catalog Seshadri constant, recomputed from a construction recipe
     whenever one is curated."""
     rec = catalog.get_family(family)
     recomputed = False
     if rec.eps_status == "known" and catalog.has_recipe(rec.id):
-        real = catalog.realize_recipe(rec.id)
-        outcome = classify_splitting(_splitting_of(real), ell_hint=rec.ell)
+        _, outcome = classify_family(rec)
         if outcome.epsilon != rec.epsilon:
             raise InconsistentModelError(
                 f"family {rec.id}: recipe gives epsilon {outcome.epsilon}, "
@@ -323,13 +330,9 @@ def verify_paper() -> VerificationReport:
                   str(real.model.anticanonical), str(total))
         )
 
-    # partition of the rank >= 2 families by Seshadri constant
-    buckets = {
-        Fraction(1): {"2.1", "10.1"},
-        Fraction(4, 3): {"2.2", "2.3", "9.1"},
-        Fraction(3, 2): {"2.4", "2.5", "3.2", "8.1"},
-        Fraction(3): {"2.28", "2.30", "2.33"},
-    }
+    # partition of the rank >= 2 families by Seshadri constant (1, 4/3, 3/2 from _DP_SETS)
+    buckets = {dp_surface_epsilon(d): ids for d, ids in _DP_SETS.items()}
+    buckets[Fraction(3)] = ("2.28", "2.30", "2.33")
     high = cat.families(min_rho=2)
     claimed = set()
     for eps, ids in sorted(buckets.items()):
@@ -347,8 +350,8 @@ def verify_paper() -> VerificationReport:
     )
 
     # tabulated low-degree fibration sets and their structural consequences
-    for d in (1, 2, 3):
-        expected_ids = frozenset(parse_family_id(t) for t in _DP_SETS[d])
+    for d, ids in _DP_SETS.items():
+        expected_ids = frozenset(parse_family_id(t) for t in ids)
         actual_ids = frozenset(r.id for r in cat.families(dp_degree=d))
         checks.append(
             Check("dp", f"dp-degree-{d}-families",

@@ -23,6 +23,10 @@ def _fmt(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _fmt_epsilon(rec: catalog.FanoFamilyRecord) -> str:
+    return "open" if rec.eps_status == "open" else _fmt(rec.epsilon)
+
+
 def _rational_arg(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -55,7 +59,7 @@ def _record_payload(rec: catalog.FanoFamilyRecord, result) -> dict:
         "id": str(rec.id),
         "rho": rec.rho,
         "index": rec.index,
-        "epsilon": "open" if rec.eps_status == "open" else _fmt(rec.epsilon),
+        "epsilon": _fmt_epsilon(rec),
         "eps_status": rec.eps_status,
         "dp_degrees": sorted(rec.dp_degrees),
         "non_bpf": rec.non_bpf,
@@ -84,27 +88,18 @@ def cmd_family(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    fid = parse_family_id(args.id)
-    rec = catalog.get_family(fid)
-    real = catalog.realize_recipe(fid)
-    s = classify.Splitting(
-        real.d1,
-        real.d2,
-        free1=real.free[0],
-        free2=real.free[1],
-        nef_big_second=real.nef_big_second,
-    )
-    outcome = classify.classify_splitting(s, ell_hint=rec.ell)
+    rec = catalog.get_family(parse_family_id(args.id))
+    real, outcome = classify.classify_family(rec)
     if args.json:
         print(json.dumps({
-            "id": str(fid),
+            "id": str(rec.id),
             "pencil_side": outcome.pencil_side,
             "fiber_degree": outcome.fiber_degree,
             "epsilon": _fmt(outcome.epsilon),
             "notes": list(outcome.notes),
         }))
         return 0
-    print(f"family {fid}")
+    print(f"family {rec.id}")
     print(f"  splitting: D1={real.d1}  D2={real.d2}")
     print(f"  pencil_side={outcome.pencil_side} fiber_degree={outcome.fiber_degree}")
     print(f"  epsilon={_fmt(outcome.epsilon)}")
@@ -143,16 +138,14 @@ def cmd_list(args) -> int:
     if args.json:
         rows = []
         for rec in records:
-            eps = "open" if rec.eps_status == "open" else _fmt(rec.epsilon)
-            rows.append({"id": str(rec.id), "epsilon": eps,
+            rows.append({"id": str(rec.id), "epsilon": _fmt_epsilon(rec),
                          "dp_degrees": sorted(rec.dp_degrees),
                          "description": rec.description})
         print(json.dumps({"count": len(rows), "families": rows}))
         return 0
     for rec in records:
-        eps = "open" if rec.eps_status == "open" else _fmt(rec.epsilon)
         dp = ",".join(str(d) for d in sorted(rec.dp_degrees)) or "-"
-        print(f"{rec.id}\t{eps}\t{dp}\t{rec.description}")
+        print(f"{rec.id}\t{_fmt_epsilon(rec)}\t{dp}\t{rec.description}")
     print(f"count {len(records)}")
     return 0
 

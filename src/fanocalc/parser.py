@@ -150,6 +150,11 @@ def _pp(e: ClassExpr) -> str:
 # tokenizer (shared by both grammars)
 # --------------------------------------------------------------------------
 
+# Longest class expression or recipe accepted, in tokens.  The parser and every
+# walk over its tree recurse at most twice per token, so this stays within the
+# default recursion limit of 1000; three general classes on Bl_20 P^3 take 386.
+MAX_TOKENS = 400
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^/()\[\]{}=,:]|−))"
 )
@@ -183,6 +188,8 @@ def _tokenize(text: str) -> list[_Tok]:
                 op = "-"
             toks.append(_Tok("op", op, m.start("op")))
         i = m.end()
+        if len(toks) > MAX_TOKENS:
+            raise ParseError(f"input is longer than {MAX_TOKENS} tokens", toks[-1].pos)
     toks.append(_Tok("eof", "", len(text)))
     return toks
 

@@ -190,9 +190,6 @@ class VarietyModel:
 
     # -- evaluation conveniences ------------------------------------------
 
-    def intersection(self, classes: Sequence[DivisorClass]) -> Fraction:
-        return intersection_number(self, classes)
-
     def evaluate(self, expr: Union[str, pmod.ClassExpr]) -> Fraction:
         return evaluate(self, expr)
 
@@ -374,33 +371,30 @@ class BlowupCenter:
 # --------------------------------------------------------------------------
 
 
-def make_projective_space(n: int) -> VarietyModel:
-    if not 1 <= n <= 4:
-        raise UnsupportedDimensionError(f"projective space of dimension {n} not supported")
+def _rank_one(name: str, n: int, degree: int, index: int) -> VarietyModel:
+    """Picard rank one: basis H (also spelled L), H^n = degree, -K = index*H."""
     return VarietyModel(
-        name=f"P{n}",
+        name=name,
         dimension=n,
         basis=["H"],
-        entries={(0,) * n: 1},
-        anticanonical=[n + 1],
+        entries={(0,) * n: degree},
+        anticanonical=[index],
         ample_ref=[1],
         aliases={"L": "H"},
     )
+
+
+def make_projective_space(n: int) -> VarietyModel:
+    if not 1 <= n <= 4:
+        raise UnsupportedDimensionError(f"projective space of dimension {n} not supported")
+    return _rank_one(f"P{n}", n, 1, n + 1)
 
 
 def make_del_pezzo_threefold(degree: int) -> VarietyModel:
     """Index-two Fano threefold with fundamental class H, H^3 = degree."""
     if not 1 <= degree <= 7:
         raise GeometryError(f"no del Pezzo threefold of degree {degree}")
-    return VarietyModel(
-        name=f"V{degree}",
-        dimension=3,
-        basis=["H"],
-        entries={(0, 0, 0): degree},
-        anticanonical=[2],
-        ample_ref=[1],
-        aliases={"L": "H"},
-    )
+    return _rank_one(f"V{degree}", 3, degree, 2)
 
 
 def make_product(factors: Sequence[VarietyModel]) -> VarietyModel:
@@ -567,9 +561,17 @@ def make_blowup(ambient: VarietyModel, center: BlowupCenter) -> VarietyModel:
     )
 
 
+# Largest basis a point blow-up may leave, which bounds the time of any
+# recipe however deeply its blowup_point calls nest.
+MAX_BASIS = 64
+
+
 def blowup_points(ambient: VarietyModel, count: int) -> VarietyModel:
     if count < 1:
         raise GeometryError("need a positive number of points")
+    size = len(ambient.basis) + count
+    if size > MAX_BASIS:
+        raise GeometryError(f"{count} points would give {size} basis classes, over {MAX_BASIS}")
     model = ambient
     for _ in range(count):
         model = make_blowup(model, BlowupCenter.point())

@@ -163,6 +163,13 @@ class TestRecipes:
         real = realize_recipe(parse_family_id("3.11"))
         assert real.center.genus == 1
         assert dict(real.center.degrees) == {"H": 4, "E1": 1}
+        # a curve center given in the recipe grammar builds the same model
+        # as the explicit center
+        real = realize_recipe(parse_family_id("3.5"))
+        p1p2 = ring.make_product([ring.make_projective_space(1), ring.make_projective_space(2)])
+        explicit = ring.make_blowup(p1p2, ring.BlowupCenter.curve(0, {"H1": 5, "H2": 2}))
+        assert real.model.form.entries == explicit.form.entries
+        assert real.middle is real.model and real.center is None
 
     def test_ci_center_on_projective_space(self):
         p3 = ring.make_projective_space(3)

@@ -48,6 +48,23 @@ class TestDeg:
         code, _, err = run(capsys, "deg", "mystery(3)", "H^3")
         assert code == 1
 
+    @pytest.mark.parametrize("expr", [
+        "(" * 2000 + "H" + ")" * 2000 + "^3",
+        "+".join(["H^3"] * 3000),  # no nesting, but a left-deep tree
+    ], ids=["deep_nesting", "flat_sum"])
+    def test_oversized_expression_is_domain_error(self, capsys, expr):
+        code, _, err = run(capsys, "deg", "P(3)", expr)
+        assert code == 1
+        assert "error" in err and "Traceback" not in err
+
+    def test_oversized_recipe_is_domain_error(self, capsys):
+        recipe = "P(3)"
+        for _ in range(100):
+            recipe = f"blowup_point({recipe}, count=1)"
+        code, _, err = run(capsys, "deg", recipe, "H^3")
+        assert code == 1
+        assert "error" in err and "Traceback" not in err
+
 
 class TestFamily:
     def test_known_family(self, capsys):
@@ -98,6 +115,13 @@ class TestClassify:
         payload = json.loads(out)
         assert payload["pencil_side"] == "none"
         assert payload["epsilon"] == "2"
+
+    @pytest.mark.parametrize("fid", sorted(catalog.RECIPES))
+    def test_json_epsilon_matches_catalog(self, capsys, fid):
+        code, out, _ = run(capsys, "classify", str(fid), "--json")
+        assert code == 0
+        rec = catalog.get_family(fid)
+        assert json.loads(out)["epsilon"] == str(rec.epsilon)
 
     def test_without_recipe(self, capsys):
         code, _, err = run(capsys, "classify", "1.17")

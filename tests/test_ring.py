@@ -138,6 +138,14 @@ class TestBlowup:
         with pytest.raises(UnknownSymbolError):
             m.evaluate("E^3")  # ambiguous once there are two centers
 
+    def test_basis_size_is_bounded(self):
+        assert len(blowup_points(P(3), ring.MAX_BASIS - 1).basis) == ring.MAX_BASIS
+        with pytest.raises(GeometryError):
+            blowup_points(P(3), 10 ** 8)
+        # nested calls cannot get round the bound
+        with pytest.raises(GeometryError):
+            model_from_recipe("blowup_point(blowup_point(P(3), count=40), count=40)")
+
     def test_curve_blowup_line(self):
         m = make_blowup(P(3), BlowupCenter.curve(0, {"H": 1}))
         # E^3 = 2 - 2g + deg(-K_Y restricted to C) = 2 + (-4) applied to degree 1
