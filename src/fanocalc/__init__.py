@@ -44,7 +44,6 @@ from .errors import (
 )
 from .parser import (
     FamilyId,
-    degree,
     parse_class_expr,
     parse_family_id,
     parse_recipe,

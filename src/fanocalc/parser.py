@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 from .errors import ParseError
 
@@ -72,30 +72,6 @@ class Pow:
 
 
 ClassExpr = Union[Sym, Num, Neg, Add, Sub, Mul, Pow]
-
-
-def degree(expr: ClassExpr) -> Optional[int]:
-    """Homogeneity degree of an expression, or None if it has no single one.
-
-    That is the case for an inhomogeneous expression and for any expression
-    with a literal zero in it, since the zero polynomial has every degree.
-    """
-    if isinstance(expr, Sym):
-        return 1
-    if isinstance(expr, Num):
-        return 0 if expr.value else None
-    if isinstance(expr, Neg):
-        return degree(expr.arg)
-    if isinstance(expr, (Add, Sub)):
-        dl, dr = degree(expr.left), degree(expr.right)
-        return dl if dl is not None and dl == dr else None
-    if isinstance(expr, Mul):
-        dl, dr = degree(expr.left), degree(expr.right)
-        return None if dl is None or dr is None else dl + dr
-    if isinstance(expr, Pow):
-        d = degree(expr.base)
-        return None if d is None else d * expr.exp
-    raise TypeError(f"not a class expression: {expr!r}")
 
 
 # --------------------------------------------------------------------------

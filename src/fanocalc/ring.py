@@ -147,8 +147,9 @@ class VarietyModel:
         self.basis = tuple(basis)
         self.form = IntersectionForm(dimension, _freeze_entries(entries))
         self.aliases = dict(aliases or {})
-        self.anticanonical = DivisorClass(self, tuple(_frac(c) for c in anticanonical))
-        self.ample_ref = DivisorClass(self, tuple(_frac(c) for c in ample_ref))
+        # from lists: tuple(<generator>) resizes, leaving tuples in free lists until a full GC
+        self.anticanonical = DivisorClass(self, tuple([_frac(c) for c in anticanonical]))
+        self.ample_ref = DivisorClass(self, tuple([_frac(c) for c in ample_ref]))
         top = intersection_number(self, [self.ample_ref] * dimension)
         if top <= 0:
             raise GeometryError(
@@ -180,12 +181,11 @@ class VarietyModel:
             return source
         expr = pmod.parse_class_expr(source) if isinstance(source, str) else source
         coeffs = [Fraction(0)] * len(self.basis)
-        for key, c in _expand(self, expr).items():
-            if not key:
-                raise DegreeError("class expression has a nonzero constant term")
-            if len(key) != 1:
-                raise DegreeError("class expression is not linear in the basis symbols")
-            coeffs[key[0]] += c
+        for c, factors in _walk(self, expr):
+            if len(factors) != 1:
+                raise DegreeError(f"class expression has a term of degree {len(factors)}, not 1")
+            for i, x in factors[0].items():
+                coeffs[i] += c * x
         return DivisorClass(self, tuple(coeffs))
 
     # -- evaluation conveniences ------------------------------------------
@@ -205,24 +205,13 @@ class VarietyModel:
 _Poly = dict[tuple[int, ...], Fraction]  # sorted basis-index tuple -> coefficient
 
 
-def _poly_add(a: _Poly, b: _Poly, sign: int = 1) -> _Poly:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) + sign * v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _poly_mul(a: _Poly, b: _Poly, max_deg: Optional[int] = None) -> _Poly:
+def _poly_mul(a: _Poly, b: _Poly, max_deg: int) -> _Poly:
     """Product of two polynomials in the basis symbols, dropping monomials
     of degree above ``max_deg``."""
     out: _Poly = {}
     for ka, va in a.items():
         for kb, vb in b.items():
-            if max_deg is not None and len(ka) + len(kb) > max_deg:
+            if len(ka) + len(kb) > max_deg:
                 continue
             k = tuple(sorted(ka + kb))
             s = out.get(k, 0) + va * vb
@@ -277,53 +266,79 @@ def intersection_number(model: VarietyModel, classes: Sequence[DivisorClass]) ->
     return _contract(model.form.entries, [c.coeffs for c in classes])
 
 
-def _expand(model: VarietyModel, expr: pmod.ClassExpr) -> _Poly:
-    """Expand an expression into monomials keyed by sorted basis-index tuples."""
+# A walked class expression is a list of terms (coefficient, nonzero sparse class vectors).
+# _collect merges the constants and the linear terms, so a power of a sum stays one product.
+_Term = tuple[Fraction, tuple[dict[int, Fraction], ...]]
 
-    def walk(e) -> _Poly:
-        if isinstance(e, pmod.Sym):
-            return {(model.basis_index(e.name),): Fraction(1)}
-        if isinstance(e, pmod.Num):
-            return {(): e.value} if e.value else {}
-        if isinstance(e, pmod.Neg):
-            return {k: -v for k, v in walk(e.arg).items()}
-        if isinstance(e, pmod.Add):
-            return _poly_add(walk(e.left), walk(e.right))
-        if isinstance(e, pmod.Sub):
-            return _poly_add(walk(e.left), walk(e.right), sign=-1)
-        if isinstance(e, pmod.Mul):
-            return _poly_mul(walk(e.left), walk(e.right))
-        if isinstance(e, pmod.Pow):
-            base = walk(e.base)
-            out = {(): Fraction(1)}
-            for _ in range(e.exp):
-                out = _poly_mul(out, base)
-            return out
-        raise TypeError(f"not a class expression: {e!r}")
 
-    return walk(expr)
+def _collect(terms: list[_Term]) -> list[_Term]:
+    const = Fraction(0)
+    linear: dict[int, Fraction] = {}
+    out = []
+    for c, factors in terms:
+        if not factors:
+            const += c
+        elif len(factors) == 1:
+            for i, x in factors[0].items():
+                linear[i] = linear.get(i, 0) + c * x
+        else:
+            out.append((c, factors))
+    if any(linear.values()):
+        out.append((Fraction(1), (linear,)))
+    if const:
+        out.append((const, ()))
+    return out
+
+
+def _multiply(model: VarietyModel, a: list[_Term], b: list[_Term]) -> list[_Term]:
+    out = []
+    for ca, fa in a:
+        for cb, fb in b:
+            if len(fa) + len(fb) > model.dimension:
+                raise DegreeError(f"more than {model.dimension} classes multiplied on {model.name}")
+            out.append((ca * cb, fa + fb))
+    return _collect(out)
+
+
+def _walk(model: VarietyModel, e: pmod.ClassExpr) -> list[_Term]:
+    """A class expression as a short sum of products of at most n class vectors."""
+    if isinstance(e, pmod.Sym):
+        return [(Fraction(1), ({model.basis_index(e.name): Fraction(1)},))]
+    if isinstance(e, pmod.Num):
+        return [(e.value, ())] if e.value else []
+    if isinstance(e, pmod.Neg):
+        return [(-c, f) for c, f in _walk(model, e.arg)]
+    if isinstance(e, (pmod.Add, pmod.Sub)):
+        right = e.right if isinstance(e, pmod.Add) else pmod.Neg(e.right)
+        return _collect(_walk(model, e.left) + _walk(model, right))
+    if isinstance(e, pmod.Mul):
+        return _multiply(model, _walk(model, e.left), _walk(model, e.right))
+    if isinstance(e, pmod.Pow):
+        if e.exp > model.dimension:
+            raise DegreeError(f"exponent {e.exp} is above the dimension of {model.name}")
+        base = _walk(model, e.base)
+        out: list[_Term] = [(Fraction(1), ())]
+        for _ in range(e.exp):
+            out = _multiply(model, out, base)
+        return out
+    raise TypeError(f"not a class expression: {e!r}")
 
 
 def evaluate(model: VarietyModel, expr: Union[str, pmod.ClassExpr]) -> Fraction:
     """Value of a degree-n polynomial in basis symbols under the form.
 
-    An expression whose syntactic degree is a number other than n is
-    rejected before it is expanded, even if it would cancel to zero.
+    Only linear parts cancel: every product of classes left must have n factors.
     """
     ast = pmod.parse_class_expr(expr) if isinstance(expr, str) else expr
-    n = model.dimension
-    found = pmod.degree(ast)
-    if found is not None and found != n:
-        raise DegreeError(f"expression is not homogeneous of degree {n} on {model.name} "
-                          f"(it has degree {found})")
     total = Fraction(0)
-    for key, coeff in _expand(model, ast).items():
-        if len(key) != n:
-            raise DegreeError(
-                f"expression is not homogeneous of degree {n} on {model.name} "
-                f"(found a degree-{len(key)} monomial)"
-            )
-        total += coeff * model.form.entries.get(key, 0)
+    for c, factors in _walk(model, ast):
+        if len(factors) != model.dimension:
+            raise DegreeError(f"expression is not of degree {model.dimension} on {model.name}")
+        vectors = [[f.get(i, 0) for i in range(len(model.basis))] for f in factors]
+        # a stored key with an index in no factor's support contributes nothing
+        support = set().union(*factors)
+        entries = {k: v for k, v in model.form.entries.items() if support.issuperset(k)}
+        total += c * _contract(entries, vectors)
     return total
 
 
@@ -468,7 +483,7 @@ def make_projective_bundle(base: VarietyModel, summands: Sequence[DivisorClass])
         series = power = {(): Fraction(1)}
         for _ in range(d):
             power = _poly_mul(power, a, d)
-            series = _poly_add(series, power)
+            series.update(power)  # the powers have disjoint monomials
         h = _poly_mul(h, series, d)
 
     # zeta^(r-1+t) * mu has degree sum_T h[T] * F(mu + T) over the monomials

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from fanocalc import catalog
 from fanocalc.cli import main
+from fanocalc.parser import pretty_print
+
+from test_parser import _exprs
 
 
 def run(capsys, *argv):
@@ -48,12 +54,16 @@ class TestDeg:
         code, _, err = run(capsys, "deg", "mystery(3)", "H^3")
         assert code == 1
 
-    @pytest.mark.parametrize("expr", [
-        "(" * 2000 + "H" + ")" * 2000 + "^3",
-        "+".join(["H^3"] * 3000),  # no nesting, but a left-deep tree
-    ], ids=["deep_nesting", "flat_sum"])
-    def test_oversized_expression_is_domain_error(self, capsys, expr):
-        code, _, err = run(capsys, "deg", "P(3)", expr)
+    @pytest.mark.parametrize("recipe,expr", [
+        ("P(3)", "(" * 2000 + "H" + ")" * 2000 + "^3"),
+        ("P(3)", "+".join(["H^3"] * 3000)),  # no nesting, but a left-deep tree
+        ("P(3)", "0^100000000"),
+        ("P(3)", "(0*H+1)^100000000*H^3"),
+        ("prod(P(1),P(1),P(1))", "(H1+H2+H3+1)^60"),
+    ], ids=["deep_nesting", "flat_sum", "zero_power", "constant_power", "inhomogeneous_power"])
+    def test_oversized_expression_is_domain_error(self, capsys, time_limit, recipe, expr):
+        with time_limit(1.0):
+            code, _, err = run(capsys, "deg", recipe, expr)
         assert code == 1
         assert "error" in err and "Traceback" not in err
 
@@ -64,6 +74,20 @@ class TestDeg:
         code, _, err = run(capsys, "deg", recipe, "H^3")
         assert code == 1
         assert "error" in err and "Traceback" not in err
+
+
+# time_limit holds no state between examples, so sharing it is safe
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_exprs)
+def test_any_class_expression_ends_in_answer_or_domain_error(time_limit, expr):
+    text = pretty_print(expr)
+    for recipe in ["P(3)", "blowup_point(P(3), count=2)", "prod(P(1),P(1),P(1),P(1))"]:
+        out, err = io.StringIO(), io.StringIO()
+        with time_limit(1.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["deg", recipe, "--", text])  # "--": text may start with "-"
+        assert code in (0, 1)
+        assert (code == 1) == err.getvalue().startswith("error:")
 
 
 class TestFamily:

@@ -14,7 +14,6 @@ from fanocalc.parser import (
     Pow,
     Sub,
     Sym,
-    degree,
     parse_class_expr,
     parse_family_id,
     parse_recipe,
@@ -52,21 +51,6 @@ class TestClassExpr:
 
     def test_left_associativity(self):
         assert parse_class_expr("A-B-C") == Sub(Sub(Sym("A"), Sym("B")), Sym("C"))
-
-    def test_degree_homogeneous(self):
-        assert degree(parse_class_expr("(2L-E)^3")) == 3
-        assert degree(parse_class_expr("H1*H2*H3")) == 3
-        assert degree(parse_class_expr("2*H^2")) == 2
-
-    def test_degree_mixed_is_none(self):
-        assert degree(parse_class_expr("H+H^2")) is None
-
-    def test_degree_of_scalar(self):
-        assert degree(parse_class_expr("3")) == 0
-
-    def test_degree_of_literal_zero_is_none(self):
-        assert degree(parse_class_expr("0")) is None
-        assert degree(parse_class_expr("0*H^2+H^3")) is None
 
 
 class TestErrors:

@@ -62,19 +62,23 @@ class TestProjectiveSpace:
 
 class TestEarlyDegreeCheck:
     def test_wrong_degree_rejected_before_expansion(self, monkeypatch):
-        def no_expansion(*args):
-            raise AssertionError("the expression was expanded")
+        def no_contraction(*args):
+            raise AssertionError("the form was contracted")
 
-        monkeypatch.setattr(ring, "_expand", no_expansion)
+        model = make_product([P(1), P(1), P(1)])
+        monkeypatch.setattr(ring, "_contract", no_contraction)
         with pytest.raises(DegreeError):
-            make_product([P(1), P(1), P(1)]).evaluate("(H1+H2+H3)^60")
+            model.evaluate("(H1+H2+H3)^60")
 
     def test_cancelling_expression_of_wrong_degree_rejected(self):
-        with pytest.raises(DegreeError):
-            P(3).evaluate("H^4-H^4")
+        # only linear parts cancel; an exponent above n is rejected even on a constant
+        for text in ["H^4-H^4", "H^3+H^2-H^2", "2^4*H^3"]:
+            with pytest.raises(DegreeError):
+                P(3).evaluate(text)
 
     def test_literal_zero_has_every_degree(self):
         assert P(3).evaluate("0*H^2") == 0
+        assert P(3).evaluate("H^3+(H-H)*H") == 1
 
 
 class TestDelPezzoThreefold:
@@ -112,6 +116,22 @@ class TestProduct:
         m = make_product([P(1), P(2)])
         assert m.anticanonical == m.divisor("2*H1+3*H2")
         assert m.evaluate("(2*H1+3*H2)^3") == 54
+
+    def test_power_of_every_class_stays_one_product(self, time_limit):
+        m = model_from_recipe("prod(blowup_point(P(2),count=20), blowup_point(P(2),count=20))")
+        assert len(m.basis) == 42
+        text = "+".join(m.basis)
+        everything = m.divisor(text)
+        with time_limit(1.0):
+            assert m.evaluate(f"({text})^4") == intersection_number(m, [everything] * 4)
+
+    def test_sum_of_many_products_is_bounded(self, time_limit):
+        m = model_from_recipe("prod(blowup_point(P(2),count=20), blowup_point(P(2),count=20))")
+        # E^2 = -1 on each factor; 40 x 40 products of four classes
+        left = "+".join(f"{e}*{e}" for e in m.basis[1:21] * 2)
+        right = "+".join(f"{e}*{e}" for e in m.basis[22:42] * 2)
+        with time_limit(1.0):
+            assert m.evaluate(f"({left})*({right})") == 1600
 
 
 class TestBlowup:
@@ -255,6 +275,13 @@ class TestDivisorClassArithmetic:
     def test_str(self):
         m = blowup_points(P(3), 2)
         assert str(m.divisor("3*H-E1-2*E2")) == "3*H-E1-2*E2"
+
+    def test_only_linear_expressions_are_classes(self):
+        m = P(3)
+        assert m.divisor("0") == m.divisor("H-H") == m.zero()
+        for text in ["H*H-H*H", "1", "H+1"]:
+            with pytest.raises(DegreeError):
+                m.divisor(text)
 
 
 # ---------------------------------------------------------------------------
