@@ -171,16 +171,15 @@ def list_families(**kwargs) -> list[FanoFamilyRecord]:
 class FamilyRecipe:
     """How to build a family's threefold and a splitting of -K on it.
 
-    With ``ci_center=True``, ``middle`` describes Y and ``pencil`` the class
-    L on Y: the center is the complete intersection of two members of |L|
-    and the splitting is (f*L - E, -K - f*L + E).  Otherwise ``middle``
+    With a ``pencil``, ``middle`` describes Y and ``pencil`` the class L on
+    Y: the center is the complete intersection of two members of |L| and
+    the splitting is (f*L - E, -K - f*L + E).  Otherwise ``middle``
     describes the threefold itself and ``splitting`` gives the two parts.
     """
 
     family: FamilyId
     middle: str
     pencil: Optional[str] = None
-    ci_center: bool = False
     splitting: Optional[tuple[str, str]] = None
     triple: Optional[tuple[str, str, str]] = None
     free: tuple[bool, bool] = (True, True)
@@ -190,7 +189,7 @@ class FamilyRecipe:
 @dataclass(frozen=True)
 class RealizedFamily:
     family: FamilyId
-    middle: ring.VarietyModel          # Y (equals model unless ci_center)
+    middle: ring.VarietyModel          # Y (equals model without a pencil)
     model: ring.VarietyModel           # X
     pencil: Optional[ring.DivisorClass]  # L on Y
     center: Optional[ring.BlowupCenter]
@@ -206,7 +205,7 @@ def _fid(text: str) -> FamilyId:
 
 
 def _ci(family, middle, pencil, **kw) -> FamilyRecipe:
-    return FamilyRecipe(_fid(family), middle, pencil=pencil, ci_center=True, **kw)
+    return FamilyRecipe(_fid(family), middle, pencil=pencil, **kw)
 
 
 _S1 = "blowup_point(P(2), count=8)"
@@ -329,18 +328,15 @@ def realize_recipe(family: FamilyId) -> RealizedFamily:
     except KeyError:
         raise NoRecipeError(f"no construction recipe curated for family {family}") from None
     middle = ring.model_from_recipe(rec.middle)
-    pencil = middle.divisor(rec.pencil) if rec.pencil is not None else None
-    center = None
-    model = middle
-    if rec.ci_center:
-        center = ci_curve_center(middle, pencil)
-        model = ring.make_blowup(middle, center)
-
-    if rec.splitting is not None:
+    if rec.pencil is None:
+        model, pencil, center = middle, None, None
         d1 = model.divisor(rec.splitting[0])
         d2 = model.divisor(rec.splitting[1])
     else:
         # complete-intersection blow-up: D1 = f*L - E, D2 = -K - D1
+        pencil = middle.divisor(rec.pencil)
+        center = ci_curve_center(middle, pencil)
+        model = ring.make_blowup(middle, center)
         e = model.basis_class(model.basis[-1])
         pull = ring.DivisorClass(model, tuple(pencil.coeffs) + (Fraction(0),))
         d1 = pull - e

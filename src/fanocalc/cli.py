@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deg", help="evaluate an intersection number on a model")
     p.add_argument("recipe", help='model recipe, e.g. "blowup_point(P(3),count=1)"')
-    p.add_argument("expr", help='class expression, e.g. "(2L-E)^3"')
+    p.add_argument("expr", nargs="?", help='class expression, e.g. "(2L-E)^3" or "-H^3"')
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_deg)
 
@@ -196,7 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        # argparse takes an expression that starts with "-" for an unknown option
+        if getattr(args, "expr", "") is None:
+            if not extra:
+                parser.error("the following arguments are required: expr")
+            args.expr = extra.pop(0)
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

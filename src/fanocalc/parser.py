@@ -15,7 +15,8 @@ multiplication.  The unicode minus sign is accepted as ``-``.
 
 Recipes are nested constructor calls, e.g.
 ``blowup_point(P(3), count=1)`` or
-``bundle(prod(P(1),P(1)), summands=[0, -H1-H2, -H1-H2])``.
+``bundle(prod(P(1),P(1)), summands=[0, -H1-H2, -H1-H2])``; ``_SIGNATURES``
+names each constructor's parameters and the kind of value each takes.
 """
 
 from __future__ import annotations
@@ -307,65 +308,63 @@ def parse_family_id(text: str) -> FamilyId:
 
 
 # --------------------------------------------------------------------------
-# recipe AST and parser
+# recipe grammar
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class PSpace:
-    n: int
+class Call:
+    """A recipe constructor applied to its arguments, in signature order.
+
+    Each argument is a nested Call, an int, a class expression, a tuple of
+    class expressions or a tuple of (basis name, int) degree pairs; the
+    arguments of ``prod`` are its factors.
+    """
+
+    name: str
+    args: tuple
 
 
-@dataclass(frozen=True)
-class DelPezzo3:
-    degree: int
-
-
-@dataclass(frozen=True)
-class Prod:
-    factors: tuple["RecipeExpr", ...]
-
-
-@dataclass(frozen=True)
-class Bundle:
-    base: "RecipeExpr"
-    summands: tuple[ClassExpr, ...]
-
-
-@dataclass(frozen=True)
-class BlowupPoint:
-    base: "RecipeExpr"
-    count: int
-
-
-@dataclass(frozen=True)
-class BlowupCurve:
-    base: "RecipeExpr"
-    genus: int
-    degrees: tuple[tuple[str, int], ...]
-
-
-@dataclass(frozen=True)
-class DoubleCover:
-    base: "RecipeExpr"
-    half_branch: ClassExpr
-
-
-@dataclass(frozen=True)
-class DivisorIn:
-    base: "RecipeExpr"
-    hypersurface: ClassExpr
-
-
-RecipeExpr = Union[PSpace, DelPezzo3, Prod, Bundle, BlowupPoint, BlowupCurve, DoubleCover, DivisorIn]
-
-_CONSTRUCTORS = {
-    "P", "dp3", "prod", "bundle", "blowup_point", "blowup_curve",
-    "double_cover", "divisor_in",
+# constructor -> its parameters as (keyword, or None if positional; kind).
+# Ranges (dimensions, counts, genus, factor and summand numbers) are checked
+# by the ring constructors, not here.
+_SIGNATURES = {
+    "P": ((None, "int"),),
+    "dp3": ((None, "int"),),
+    "prod": ((None, "recipes"),),
+    "bundle": ((None, "recipe"), ("summands", "classes")),
+    "blowup_point": ((None, "recipe"), ("count", "int")),
+    "blowup_curve": ((None, "recipe"), ("genus", "int"), ("degrees", "degrees")),
+    "double_cover": ((None, "recipe"), ("half_branch", "class")),
+    "divisor_in": ((None, "recipe"), (None, "class")),
 }
 
 
-def parse_recipe(text: str) -> RecipeExpr:
+def _as_int(value) -> int | None:
+    sign = 1
+    if isinstance(value, Neg):
+        value, sign = value.arg, -1
+    if isinstance(value, Num) and value.value.denominator == 1:
+        return sign * int(value.value)
+    return None
+
+
+def _as_recipe(value) -> Call | None:
+    return value if isinstance(value, Call) else None
+
+
+# kind -> (what a value must be, its bound form or None if of another kind)
+_KINDS = {
+    "recipe": ("a recipe", _as_recipe),
+    "recipes": ("a recipe", _as_recipe),  # every remaining positional argument
+    "int": ("an integer", _as_int),
+    "class": ("a class expression", lambda v: v if isinstance(v, ClassExpr) else None),
+    "classes": ("a [class, ...] list", lambda v: tuple(v) if isinstance(v, list) else None),
+    "degrees": ("a {name: int, ...} mapping", lambda v: v if isinstance(v, tuple) else None),
+}
+
+
+def parse_recipe(text: str) -> Call:
     ts = _TokenStream(text)
     recipe = _parse_recipe_call(ts)
     if ts.cur.kind != "eof":
@@ -373,160 +372,87 @@ def parse_recipe(text: str) -> RecipeExpr:
     return recipe
 
 
-def _parse_recipe_call(ts: _TokenStream) -> RecipeExpr:
-    if ts.cur.kind != "name" or ts.cur.text not in _CONSTRUCTORS:
+def _parse_items(ts: _TokenStream, close: str, parse_item) -> list:
+    """Comma-separated items up to the closing bracket ``close``."""
+    items = []
+    if not ts.at_op(close):
+        items.append(parse_item(ts))
+        while ts.at_op(","):
+            ts.advance()
+            items.append(parse_item(ts))
+    ts.expect_op(close, f"expected {close!r} or ','")
+    return items
+
+
+def _parse_recipe_call(ts: _TokenStream) -> Call:
+    if ts.cur.kind != "name" or ts.cur.text not in _SIGNATURES:
         ts.fail("expected a recipe constructor")
     name_tok = ts.advance()
-    name = name_tok.text
     ts.expect_op("(", "expected '('")
-    pos_args: list = []
-    kw_args: dict = {}
-    if not ts.at_op(")"):
-        while True:
-            if (
-                ts.cur.kind == "name"
-                and ts.toks[ts.i + 1].kind == "op"
-                and ts.toks[ts.i + 1].text == "="
-            ):
-                key = ts.advance().text
-                ts.advance()  # '='
-                kw_args[key] = _parse_recipe_value(ts)
-            else:
-                pos_args.append(_parse_recipe_value(ts))
-            if ts.at_op(","):
-                ts.advance()
-                continue
-            break
-    ts.expect_op(")", "expected ')' or ','")
-    return _build_recipe(name, name_tok.pos, pos_args, kw_args)
+    return _bind(name_tok.text, name_tok.pos, _parse_items(ts, ")", _parse_argument))
 
 
-def _parse_recipe_value(ts: _TokenStream):
-    if ts.cur.kind == "name" and ts.cur.text in _CONSTRUCTORS:
-        nxt = ts.toks[ts.i + 1]
-        if nxt.kind == "op" and nxt.text == "(":
-            return _parse_recipe_call(ts)
+def _parse_argument(ts: _TokenStream) -> tuple[str | None, object]:
+    key = None
+    if ts.cur.kind == "name" and ts.toks[ts.i + 1].text == "=":
+        key = ts.advance().text
+        ts.advance()  # '='
+    if ts.cur.text in _SIGNATURES and ts.toks[ts.i + 1].text == "(":
+        return key, _parse_recipe_call(ts)
     if ts.at_op("["):
         ts.advance()
-        items = []
-        if not ts.at_op("]"):
-            while True:
-                items.append(_parse_recipe_value(ts))
-                if ts.at_op(","):
-                    ts.advance()
-                    continue
-                break
-        ts.expect_op("]", "expected ']' or ','")
-        return items
+        return key, _parse_items(ts, "]", _parse_expr)
     if ts.at_op("{"):
         ts.advance()
-        entries = []
-        if not ts.at_op("}"):
-            while True:
-                if ts.cur.kind != "name":
-                    ts.fail("expected basis symbol")
-                key = ts.advance().text
-                ts.expect_op(":", "expected ':'")
-                sign = 1
-                if ts.at_op("-"):
-                    ts.advance()
-                    sign = -1
-                value = sign * _parse_uint(ts, "expected integer")
-                entries.append((key, value))
-                if ts.at_op(","):
-                    ts.advance()
-                    continue
-                break
-        ts.expect_op("}", "expected '}' or ','")
-        return tuple(entries)
-    # fall back to a class expression (covers bare integers too)
-    return _parse_expr(ts)
+        return key, tuple(_parse_items(ts, "}", _parse_degree))
+    return key, _parse_expr(ts)
 
 
-def _expr_is_int(value) -> bool:
-    return isinstance(value, Num) and value.value.denominator == 1
+def _parse_degree(ts: _TokenStream) -> tuple[str, int]:
+    if ts.cur.kind != "name":
+        ts.fail("expected basis symbol")
+    name = ts.advance().text
+    ts.expect_op(":", "expected ':'")
+    sign = 1
+    if ts.at_op("-"):
+        ts.advance()
+        sign = -1
+    return name, sign * _parse_uint(ts, "expected integer")
 
 
-def _build_recipe(name: str, pos: int, args: list, kw: dict) -> RecipeExpr:
+def _bind(name: str, pos: int, items: list[tuple[str | None, object]]) -> Call:
+    """The Call for a constructor's arguments, checked against its signature."""
+
     def bad(msg: str):
         raise ParseError(f"{name}: {msg}", pos)
 
-    def take_kw(key: str, required=True):
-        if key in kw:
-            return kw.pop(key)
-        if required:
-            bad(f"missing argument {key!r}")
-        return None
-
-    def check_done():
-        if kw:
-            bad(f"unexpected argument {next(iter(kw))!r}")
-
-    if name == "P":
-        if len(args) != 1 or not _expr_is_int(args[0]) or kw:
-            bad("expects a single integer dimension")
-        return PSpace(int(args[0].value))
-    if name == "dp3":
-        if len(args) != 1 or not _expr_is_int(args[0]) or kw:
-            bad("expects a single integer degree")
-        return DelPezzo3(int(args[0].value))
-    if name == "prod":
-        if kw or len(args) < 2:
-            bad("expects at least two factor recipes")
-        for a in args:
-            if not _is_recipe(a):
-                bad("factors must be recipes")
-        return Prod(tuple(args))
-    if name == "bundle":
-        if len(args) != 1 or not _is_recipe(args[0]):
-            bad("expects a base recipe")
-        summands = take_kw("summands")
-        check_done()
-        if not isinstance(summands, list) or len(summands) < 2:
-            bad("summands must be a list of at least two classes")
-        for s in summands:
-            if _is_recipe(s) or isinstance(s, (list, tuple)):
-                bad("summands must be class expressions")
-        return Bundle(args[0], tuple(summands))
-    if name == "blowup_point":
-        if len(args) != 1 or not _is_recipe(args[0]):
-            bad("expects a base recipe")
-        count = take_kw("count")
-        check_done()
-        if not _expr_is_int(count) or int(count.value) < 1:
-            bad("count must be a positive integer")
-        return BlowupPoint(args[0], int(count.value))
-    if name == "blowup_curve":
-        if len(args) != 1 or not _is_recipe(args[0]):
-            bad("expects a base recipe")
-        genus = take_kw("genus")
-        degrees = take_kw("degrees")
-        check_done()
-        if not _expr_is_int(genus) or int(genus.value) < 0:
-            bad("genus must be a nonnegative integer")
-        if not isinstance(degrees, tuple):
-            bad("degrees must be a {name: int, ...} mapping")
-        return BlowupCurve(args[0], int(genus.value), degrees)
-    if name == "double_cover":
-        if len(args) != 1 or not _is_recipe(args[0]):
-            bad("expects a base recipe")
-        hb = take_kw("half_branch")
-        check_done()
-        if _is_recipe(hb) or isinstance(hb, (list, tuple)):
-            bad("half_branch must be a class expression")
-        return DoubleCover(args[0], hb)
-    if name == "divisor_in":
-        if len(args) != 2 or not _is_recipe(args[0]):
-            bad("expects a base recipe and a hypersurface class")
-        h = args[1]
-        if _is_recipe(h) or isinstance(h, (list, tuple)):
-            bad("hypersurface must be a class expression")
-        return DivisorIn(args[0], h)
-    bad("unknown constructor")
-
-
-def _is_recipe(value) -> bool:
-    return isinstance(
-        value,
-        (PSpace, DelPezzo3, Prod, Bundle, BlowupPoint, BlowupCurve, DoubleCover, DivisorIn),
-    )
+    positional = [v for key, v in items if key is None]
+    keywords: dict[str, object] = {}
+    for key, value in items:
+        if key in keywords:
+            bad(f"argument {key!r} given twice")
+        if key is not None:
+            keywords[key] = value
+    args = []
+    for key, kind in _SIGNATURES[name]:
+        what, bind = _KINDS[kind]
+        if kind == "recipes":
+            values, positional = positional, []
+        elif key is not None:
+            if key not in keywords:
+                bad(f"missing argument {key!r}")
+            values = [keywords.pop(key)]
+        elif positional:
+            values = [positional.pop(0)]
+        else:
+            bad(f"missing {what}")
+        for value in values:
+            bound = bind(value)
+            if bound is None:
+                bad(f"{key or 'argument'} must be {what}")
+            args.append(bound)
+    if positional:
+        bad("too many positional arguments")
+    if keywords:
+        bad(f"unexpected argument {next(iter(keywords))!r}")
+    return Call(name, tuple(args))

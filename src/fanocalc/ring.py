@@ -537,9 +537,13 @@ def make_blowup(ambient: VarietyModel, center: BlowupCenter) -> VarietyModel:
     e_name = f"E{len(existing) + 1}"
 
     if center.kind == "curve":
-        degrees = [0] * m
+        given: dict[int, int] = {}
         for name, value in center.degrees:
-            degrees[ambient.basis_index(name)] = value
+            i = ambient.basis_index(name)
+            if i in given:
+                raise GeometryError(f"degree against {ambient.basis[i]} given twice")
+            given[i] = value
+        degrees = [given.get(i, 0) for i in range(m)]
         # K_Y . C from the stored degrees against the ambient anticanonical
         k_dot_c = -sum(c * dg for c, dg in zip(ambient.anticanonical.coeffs, degrees))
         e_top = Fraction(2 - 2 * center.genus) + k_dot_c
@@ -649,31 +653,30 @@ def make_divisor_in(ambient: VarietyModel, hypersurface_class: DivisorClass) -> 
 # --------------------------------------------------------------------------
 
 
-def model_from_recipe(recipe: Union[str, pmod.RecipeExpr]) -> VarietyModel:
-    """Build the variety model described by a recipe expression."""
+def _recipe_class(base: VarietyModel, expr: pmod.ClassExpr) -> DivisorClass:
+    """A recipe's class argument on ``base``; recipes name integral classes only."""
+    c = base.divisor(expr)
+    if not c.is_integral:
+        raise GeometryError(f"class {c} in a recipe is not integral")
+    return c
+
+
+# one builder per constructor of parser._SIGNATURES, called with the Call's
+# arguments once its nested recipes are built
+_BUILDERS = {
+    "P": make_projective_space,
+    "dp3": make_del_pezzo_threefold,
+    "prod": lambda *factors: make_product(factors),
+    "bundle": lambda base, cs: make_projective_bundle(base, [_recipe_class(base, c) for c in cs]),
+    "blowup_point": blowup_points,
+    "blowup_curve": lambda base, g, degrees: make_blowup(base, BlowupCenter("curve", g, degrees)),
+    "double_cover": lambda base, c: make_double_cover(base, _recipe_class(base, c)),
+    "divisor_in": lambda base, c: make_divisor_in(base, _recipe_class(base, c)),
+}
+
+
+def model_from_recipe(recipe: Union[str, pmod.Call]) -> VarietyModel:
+    """Build the variety model described by a recipe."""
     r = pmod.parse_recipe(recipe) if isinstance(recipe, str) else recipe
-    if isinstance(r, pmod.PSpace):
-        return make_projective_space(r.n)
-    if isinstance(r, pmod.DelPezzo3):
-        return make_del_pezzo_threefold(r.degree)
-    if isinstance(r, pmod.Prod):
-        return make_product([model_from_recipe(f) for f in r.factors])
-    if isinstance(r, pmod.Bundle):
-        base = model_from_recipe(r.base)
-        return make_projective_bundle(base, [base.divisor(s) for s in r.summands])
-    if isinstance(r, pmod.BlowupPoint):
-        return blowup_points(model_from_recipe(r.base), r.count)
-    if isinstance(r, pmod.BlowupCurve):
-        base = model_from_recipe(r.base)
-        center = BlowupCenter("curve", r.genus, r.degrees)
-        # validate names eagerly for a clean error position-free message
-        for name, _ in r.degrees:
-            base.basis_index(name)
-        return make_blowup(base, center)
-    if isinstance(r, pmod.DoubleCover):
-        base = model_from_recipe(r.base)
-        return make_double_cover(base, base.divisor(r.half_branch))
-    if isinstance(r, pmod.DivisorIn):
-        base = model_from_recipe(r.base)
-        return make_divisor_in(base, base.divisor(r.hypersurface))
-    raise TypeError(f"not a recipe expression: {r!r}")
+    args = [model_from_recipe(a) if isinstance(a, pmod.Call) else a for a in r.args]
+    return _BUILDERS[r.name](*args)

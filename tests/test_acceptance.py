@@ -115,7 +115,7 @@ def test_criterion_5_rank_one_and_general_rules():
 def test_criterion_6_adjunction_oracle():
     checked = 0
     for fid, recipe in sorted(catalog.RECIPES.items()):
-        if not recipe.ci_center:
+        if recipe.pencil is None:
             continue
         real = catalog.realize_recipe(fid)
         s = Splitting(real.d1, real.d2, free1=real.free[0],

@@ -4,6 +4,7 @@ import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fanocalc import catalog
 from fanocalc.cli import main
@@ -30,10 +31,13 @@ class TestDeg:
         assert out.strip() == "6"
 
     def test_json_mode_matches_text(self, capsys):
-        _, text_out, _ = run(capsys, "deg", "P(3)", "(2*H)^3")
-        code, json_out, _ = run(capsys, "deg", "P(3)", "(2*H)^3", "--json")
-        assert code == 0
-        assert json.loads(json_out) == {"value": text_out.strip()}
+        # an expression may start with "-", and --json may follow it
+        for expr, value in [("(2*H)^3", "8"), ("-H^3", "-1")]:
+            code, text_out, _ = run(capsys, "deg", "P(3)", expr)
+            assert (code, text_out.strip()) == (0, value)
+            code, json_out, _ = run(capsys, "deg", "P(3)", expr, "--json")
+            assert code == 0
+            assert json.loads(json_out) == {"value": value}
 
     def test_fractional_value_printed_exactly(self, capsys):
         code, out, _ = run(capsys, "deg", "P(3)", "1/2*H^3")
@@ -50,9 +54,25 @@ class TestDeg:
         assert code == 1
         assert "offset 2" in err
 
-    def test_bad_recipe(self, capsys):
-        code, _, err = run(capsys, "deg", "mystery(3)", "H^3")
+    @pytest.mark.parametrize("recipe", [
+        "mystery(3)", "P(x)", "P(3, 4)", "P(n=3)", "P(0)", "dp3(8)",
+        "prod(P(1))", "prod(P(1), 3)",
+        "bundle(P(1), summands=[H])", "bundle(P(1), summands=H)",
+        "bundle(P(1), summands=[0, 1/2*H])",
+        "blowup_point(P(3), count=0)", "blowup_point(P(3), 1)",
+        "blowup_point(P(3), count=1, count=2)",
+        "blowup_curve(P(3), genus=-1, degrees={H:1})",
+        "blowup_curve(P(3), genus=0, degrees=3)",
+        "blowup_curve(P(3), genus=0, degrees={H:1, H:2})",
+        "blowup_curve(P(3), genus=0, degrees={H:1, L:2})",
+        "double_cover(P(3), half_branch=1/2*H)",
+        "divisor_in(P(4))", "divisor_in(P(4), 1/2*H)",
+    ])
+    def test_bad_recipe(self, capsys, recipe):
+        # "0" evaluates on every model, so only the recipe can fail
+        code, _, err = run(capsys, "deg", recipe, "0")
         assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("recipe,expr", [
         ("P(3)", "(" * 2000 + "H" + ")" * 2000 + "^3"),
@@ -88,6 +108,51 @@ def test_any_class_expression_ends_in_answer_or_domain_error(time_limit, expr):
             code = main(["deg", recipe, "--", text])  # "--": text may start with "-"
         assert code in (0, 1)
         assert (code == 1) == err.getvalue().startswith("error:")
+
+
+# recipe text of every constructor, with well-formed arguments of any value
+# and with argument shapes drawn at random
+_bases = st.sampled_from(["P(1)", "P(2)", "P(3)", "P(4)", "dp3(2)"])
+_ints = st.integers(min_value=-1, max_value=70).map(str)
+_classes = st.sampled_from(["0", "H", "2*H", "H1+H2", "-H1-H2", "1/2*H", "E1", "zeta", "H^2"])
+_class_lists = st.lists(_classes, max_size=3).map(lambda cs: "[" + ", ".join(cs) + "]")
+_degree_maps = st.lists(
+    st.tuples(st.sampled_from(["H", "L", "H1", "E1", "X"]), st.integers(-2, 5)), max_size=3
+).map(lambda kv: "{" + ", ".join(f"{k}:{v}" for k, v in kv) + "}")
+
+
+def _recipe_calls(children):
+    shapes = st.one_of(children, _ints, _classes, _class_lists, _degree_maps)
+    keywords = st.sampled_from([None, None, "n", "count", "genus", "degrees", "summands",
+                                "half_branch"])
+    random_args = st.lists(st.tuples(keywords, shapes), max_size=4).map(
+        lambda args: ", ".join(v if k is None else f"{k}={v}" for k, v in args))
+    names = st.sampled_from(["P", "dp3", "prod", "bundle", "blowup_point", "blowup_curve",
+                             "double_cover", "divisor_in", "mystery"])
+    return st.one_of(
+        st.tuples(names, random_args).map(lambda c: f"{c[0]}({c[1]})"),
+        st.lists(children, min_size=2, max_size=3).map(lambda fs: f"prod({', '.join(fs)})"),
+        st.tuples(children, _class_lists).map(lambda a: f"bundle({a[0]}, summands={a[1]})"),
+        st.tuples(children, _ints).map(lambda a: f"blowup_point({a[0]}, count={a[1]})"),
+        st.tuples(children, _ints, _degree_maps).map(
+            lambda a: f"blowup_curve({a[0]}, genus={a[1]}, degrees={a[2]})"),
+        st.tuples(children, _classes).map(lambda a: f"double_cover({a[0]}, half_branch={a[1]})"),
+        st.tuples(children, _classes).map(lambda a: f"divisor_in({a[0]}, {a[1]})"),
+    )
+
+
+_recipes = st.recursive(_bases, _recipe_calls, max_leaves=5)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_recipes)
+def test_any_recipe_ends_in_answer_or_domain_error(time_limit, recipe):
+    out, err = io.StringIO(), io.StringIO()
+    with time_limit(1.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["deg", recipe, "0"])
+    assert code in (0, 1)
+    assert (code == 1) == err.getvalue().startswith("error:")
 
 
 class TestFamily:

@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from fanocalc.errors import ParseError
 from fanocalc.parser import (
     Add,
+    Call,
     FamilyId,
     Mul,
     Neg,
@@ -20,6 +23,7 @@ from fanocalc.parser import (
     pretty_print,
 )
 from fanocalc import parser as pmod
+from fanocalc import ring
 
 
 class TestClassExpr:
@@ -102,20 +106,22 @@ class TestFamilyId:
 
 class TestRecipe:
     def test_projective_space(self):
-        assert parse_recipe("P(3)") == pmod.PSpace(3)
+        assert parse_recipe("P(3)") == Call("P", (3,))
 
     def test_nested_product(self):
         r = parse_recipe("prod(P(1), P(2))")
-        assert r == pmod.Prod((pmod.PSpace(1), pmod.PSpace(2)))
+        assert r == Call("prod", (Call("P", (1,)), Call("P", (2,))))
 
     def test_bundle_with_class_summands(self):
         r = parse_recipe("bundle(prod(P(1),P(1)), summands=[0, H1+H2])")
-        assert isinstance(r, pmod.Bundle)
-        assert len(r.summands) == 2
+        assert r == Call("bundle", (
+            Call("prod", (Call("P", (1,)), Call("P", (1,)))),
+            (Num(Fraction(0)), Add(Sym("H1"), Sym("H2"))),
+        ))
 
     def test_blowup_curve_degree_map(self):
-        r = parse_recipe("blowup_curve(P(3), genus=0, degrees={H:1})")
-        assert r == pmod.BlowupCurve(pmod.PSpace(3), 0, (("H", 1),))
+        r = parse_recipe("blowup_curve(P(3), degrees={H:1, E:-2}, genus=0)")
+        assert r == Call("blowup_curve", (Call("P", (3,)), 0, (("H", 1), ("E", -2))))
 
     def test_unknown_constructor(self):
         with pytest.raises(ParseError):
@@ -124,6 +130,22 @@ class TestRecipe:
     def test_bad_argument(self):
         with pytest.raises(ParseError):
             parse_recipe("P(x)")
+        with pytest.raises(ParseError) as exc:
+            parse_recipe("blowup_point(P(3), count=1, count=2)")
+        assert exc.value.offset == 0
+
+
+def test_readme_grammar_matches_signatures():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Model recipe grammar", 1)[1].split("```")[1]
+    documented = {}
+    for line in block.strip().splitlines():
+        call = re.split(r"\s{2,}", line)[0]  # the description follows two spaces
+        documented[re.match(r"\w+", call).group()] = set(re.findall(r"(\w+)=", call))
+    assert documented == {
+        name: {key for key, _ in params if key} for name, params in pmod._SIGNATURES.items()
+    }
+    assert ring._BUILDERS.keys() == pmod._SIGNATURES.keys()
 
 
 # random ASTs for the round-trip property

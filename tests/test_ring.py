@@ -172,6 +172,10 @@ class TestBlowup:
         assert m.evaluate("E^3") == -2
         assert m.evaluate("H*E^2") == -1
         assert m.evaluate("H^2*E") == 0
+        # a class named twice, directly or through an alias, is not a degree map
+        for degrees in ((("H", 1), ("H", 2)), (("H", 1), ("L", 2))):
+            with pytest.raises(GeometryError):
+                make_blowup(P(3), BlowupCenter("curve", 0, degrees))
 
     def test_curve_blowup_twisted_cubic(self):
         m = make_blowup(P(3), BlowupCenter.curve(0, {"H": 3}))
