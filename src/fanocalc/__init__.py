@@ -50,7 +50,6 @@ from .parser import (
     pretty_print,
 )
 from .ring import (
-    BlowupCenter,
     DivisorClass,
     IntersectionForm,
     VarietyModel,

@@ -192,7 +192,7 @@ class RealizedFamily:
     middle: ring.VarietyModel          # Y (equals model without a pencil)
     model: ring.VarietyModel           # X
     pencil: Optional[ring.DivisorClass]  # L on Y
-    center: Optional[ring.BlowupCenter]
+    center: Optional[tuple[int, dict[str, int]]]  # (genus, degrees) of the curve blown up
     d1: ring.DivisorClass
     d2: ring.DivisorClass
     free: tuple[bool, bool]
@@ -303,8 +303,8 @@ def has_recipe(family: FamilyId | str) -> bool:
 
 def ci_curve_center(
     middle: ring.VarietyModel, pencil: ring.DivisorClass
-) -> ring.BlowupCenter:
-    """Center data for the complete intersection of two members of |L|."""
+) -> tuple[int, dict[str, int]]:
+    """Genus and basis degrees of the complete intersection of two members of |L|."""
     degrees = {}
     for name in middle.basis:
         d = ring.intersection_number(middle, [middle.basis_class(name), pencil, pencil])
@@ -318,7 +318,7 @@ def ci_curve_center(
     genus = (two_g_minus_2 + 2) / 2
     if genus.denominator != 1 or genus < 0:
         raise GeometryError(f"complete intersection curve has invalid genus {genus}")
-    return ring.BlowupCenter.curve(int(genus), degrees)
+    return int(genus), degrees
 
 
 @lru_cache(maxsize=None)
@@ -336,7 +336,7 @@ def realize_recipe(family: FamilyId) -> RealizedFamily:
         # complete-intersection blow-up: D1 = f*L - E, D2 = -K - D1
         pencil = middle.divisor(rec.pencil)
         center = ci_curve_center(middle, pencil)
-        model = ring.make_blowup(middle, center)
+        model = ring.make_blowup(middle, *center)
         e = model.basis_class(model.basis[-1])
         pull = ring.DivisorClass(model, tuple(pencil.coeffs) + (Fraction(0),))
         d1 = pull - e

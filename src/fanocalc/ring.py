@@ -230,21 +230,34 @@ def _without(key: tuple[int, ...], sub: Iterable[int]) -> tuple[int, ...]:
     return tuple(rest)
 
 
-def _contract(
-    entries: Mapping[tuple[int, ...], Fraction], vectors: Sequence[Sequence[Fraction]]
-) -> Fraction:
-    """Form with the given entries applied to coefficient vectors.
+def _sparse(coeffs: Sequence[Fraction]) -> dict[int, Fraction]:
+    return {i: c for i, c in enumerate(coeffs) if c}
 
-    Only stored keys are visited: a key contributes its value times the sum,
-    over its distinct orderings, of the matching coefficient products.
+
+def _contract(
+    entries: Mapping[tuple[int, ...], Fraction], factors: Sequence[Mapping[int, Fraction]]
+) -> Fraction:
+    """Form with the given entries applied to sparse class vectors.
+
+    Walks the smaller side: the ordered index tuples of the factors'
+    supports, each looked up as a sorted key, or the stored keys, each over
+    its distinct orderings.
     """
     total = Fraction(0)
+    if math.prod(map(len, factors)) <= len(entries):
+        for indices in itertools.product(*factors):
+            term = entries.get(tuple(sorted(indices)))
+            if term:
+                for vec, i in zip(factors, indices):
+                    term *= vec[i]
+                total += term
+        return total
     for key, value in entries.items():
         coeff = 0
         for perm in set(itertools.permutations(key)):
             term = 1
-            for vec, i in zip(vectors, perm):
-                term *= vec[i]
+            for vec, i in zip(factors, perm):
+                term *= vec.get(i, 0)
                 if not term:
                     break
             coeff += term
@@ -263,7 +276,7 @@ def intersection_number(model: VarietyModel, classes: Sequence[DivisorClass]) ->
             raise TypeError(f"expected a divisor class, got {c!r}")
         if c.model is not model:
             raise ForeignClassError("divisor class belongs to a different model")
-    return _contract(model.form.entries, [c.coeffs for c in classes])
+    return _contract(model.form.entries, [_sparse(c.coeffs) for c in classes])
 
 
 # A walked class expression is a list of terms (coefficient, nonzero sparse class vectors).
@@ -283,7 +296,8 @@ def _collect(terms: list[_Term]) -> list[_Term]:
                 linear[i] = linear.get(i, 0) + c * x
         else:
             out.append((c, factors))
-    if any(linear.values()):
+    linear = {i: x for i, x in linear.items() if x}
+    if linear:
         out.append((Fraction(1), (linear,)))
     if const:
         out.append((const, ()))
@@ -334,51 +348,8 @@ def evaluate(model: VarietyModel, expr: Union[str, pmod.ClassExpr]) -> Fraction:
     for c, factors in _walk(model, ast):
         if len(factors) != model.dimension:
             raise DegreeError(f"expression is not of degree {model.dimension} on {model.name}")
-        vectors = [[f.get(i, 0) for i in range(len(model.basis))] for f in factors]
-        # a stored key with an index in no factor's support contributes nothing
-        support = set().union(*factors)
-        entries = {k: v for k, v in model.form.entries.items() if support.issuperset(k)}
-        total += c * _contract(entries, vectors)
+        total += c * _contract(model.form.entries, factors)
     return total
-
-
-# --------------------------------------------------------------------------
-# blow-up centers
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlowupCenter:
-    """A point, or a smooth curve given by its genus and basis degrees.
-
-    ``degrees`` records D·C for each ambient basis class D; omitted names
-    default to zero.  Degrees may be negative (strict-transform
-    bookkeeping for centers inside an earlier exceptional divisor).
-    """
-
-    kind: str  # 'point' | 'curve'
-    genus: Optional[int] = None
-    degrees: Optional[tuple[tuple[str, int], ...]] = None
-
-    def __post_init__(self):
-        if self.kind == "point":
-            if self.genus is not None or self.degrees is not None:
-                raise GeometryError("point centers carry no genus or degrees")
-        elif self.kind == "curve":
-            if self.genus is None or self.genus < 0:
-                raise GeometryError("curve centers need a nonnegative genus")
-            if self.degrees is None:
-                raise GeometryError("curve centers need a degrees mapping")
-        else:
-            raise GeometryError(f"unknown center kind {self.kind!r}")
-
-    @classmethod
-    def point(cls) -> "BlowupCenter":
-        return cls("point")
-
-    @classmethod
-    def curve(cls, genus: int, degrees: Mapping[str, int]) -> "BlowupCenter":
-        return cls("curve", genus, tuple(degrees.items()))
 
 
 # --------------------------------------------------------------------------
@@ -509,7 +480,7 @@ def make_projective_bundle(base: VarietyModel, summands: Sequence[DivisorClass])
     # multiple that makes the top self-intersection positive
     for shift in range(0, 64):
         ample = [(1 + shift) * c for c in base.ample_ref.coeffs] + [Fraction(1)]
-        if _contract(entries, [ample] * n) > 0:
+        if _contract(entries, [_sparse(ample)] * n) > 0:
             break
     else:
         raise GeometryError("could not find a positive reference class for the bundle")
@@ -524,44 +495,52 @@ def make_projective_bundle(base: VarietyModel, summands: Sequence[DivisorClass])
     )
 
 
-def make_blowup(ambient: VarietyModel, center: BlowupCenter) -> VarietyModel:
+def make_blowup(
+    ambient: VarietyModel,
+    genus: Optional[int] = None,
+    degrees: Union[Mapping[str, int], Iterable[tuple[str, int]], None] = None,
+) -> VarietyModel:
+    """Blow-up at a point, or along a smooth curve when ``degrees`` is given.
+
+    ``degrees`` records D·C for ambient basis classes D, as a mapping or as
+    (name, degree) pairs; omitted names default to zero.  Degrees may be
+    negative (strict-transform bookkeeping for centers inside an earlier
+    exceptional divisor).
+    """
+    if degrees is None and genus is not None:
+        raise GeometryError("point centers carry no genus")
+    if degrees is not None and (genus is None or genus < 0):
+        raise GeometryError("curve centers need a nonnegative genus")
     n = ambient.dimension
     if n not in (2, 3):
         raise UnsupportedDimensionError(f"blow-ups supported on surfaces and threefolds, not dim {n}")
-    if center.kind == "curve" and n != 3:
+    if degrees is not None and n != 3:
         raise GeometryError("curve centers are only supported on threefolds")
 
     m = len(ambient.basis)
-    e_idx = m
     existing = [b for b in ambient.basis if re.fullmatch(r"E\d+", b)]
     e_name = f"E{len(existing) + 1}"
-
-    if center.kind == "curve":
-        given: dict[int, int] = {}
-        for name, value in center.degrees:
-            i = ambient.basis_index(name)
-            if i in given:
-                raise GeometryError(f"degree against {ambient.basis[i]} given twice")
-            given[i] = value
-        degrees = [given.get(i, 0) for i in range(m)]
-        # K_Y . C from the stored degrees against the ambient anticanonical
-        k_dot_c = -sum(c * dg for c, dg in zip(ambient.anticanonical.coeffs, degrees))
-        e_top = Fraction(2 - 2 * center.genus) + k_dot_c
-    else:
-        degrees = None
-        e_top = Fraction(1) if n == 3 else Fraction(-1)
 
     # Fulton, Intersection Theory, 6.7: ambient products are unchanged, E
     # meets them only in E^n and, for a curve, D.E^2 = -D.C
     entries = dict(ambient.form.entries)
-    entries[(e_idx,) * n] = e_top
-    if degrees is not None:
-        for i, dg in enumerate(degrees):
-            entries[(i, e_idx, e_idx)] = Fraction(-dg)
+    if degrees is None:
+        entries[(m,) * n] = Fraction(1) if n == 3 else Fraction(-1)
+    else:
+        given: dict[int, int] = {}
+        for name, value in degrees.items() if isinstance(degrees, Mapping) else degrees:
+            i = ambient.basis_index(name)
+            if i in given:
+                raise GeometryError(f"degree against {ambient.basis[i]} given twice")
+            given[i] = value
+            entries[(i, m, m)] = Fraction(-value)
+        # E^3 = 2 - 2g + K_Y.C, with K_Y.C from the degrees against -K_Y
+        k_dot_c = -sum(ambient.anticanonical.coeffs[i] * dg for i, dg in given.items())
+        entries[(m,) * n] = Fraction(2 - 2 * genus) + k_dot_c
 
     # exceptional coefficient of -K is codim - 1: -2E for a point on a
     # threefold, -E for a curve or a point on a surface
-    codim = 2 if (center.kind == "curve" or n == 2) else n
+    codim = 2 if (degrees is not None or n == 2) else n
     antican = list(ambient.anticanonical.coeffs) + [Fraction(-(codim - 1))]
     ample = list(ambient.ample_ref.coeffs) + [Fraction(0)]
 
@@ -593,7 +572,7 @@ def blowup_points(ambient: VarietyModel, count: int) -> VarietyModel:
         raise GeometryError(f"{count} points would give {size} basis classes, over {MAX_BASIS}")
     model = ambient
     for _ in range(count):
-        model = make_blowup(model, BlowupCenter.point())
+        model = make_blowup(model)
     return model
 
 
@@ -669,7 +648,7 @@ _BUILDERS = {
     "prod": lambda *factors: make_product(factors),
     "bundle": lambda base, cs: make_projective_bundle(base, [_recipe_class(base, c) for c in cs]),
     "blowup_point": blowup_points,
-    "blowup_curve": lambda base, g, degrees: make_blowup(base, BlowupCenter("curve", g, degrees)),
+    "blowup_curve": make_blowup,
     "double_cover": lambda base, c: make_double_cover(base, _recipe_class(base, c)),
     "divisor_in": lambda base, c: make_divisor_in(base, _recipe_class(base, c)),
 }

@@ -24,7 +24,6 @@ from fanocalc.errors import (
 )
 from fanocalc.parser import parse_family_id
 from fanocalc.ring import (
-    BlowupCenter,
     DivisorClass,
     IntersectionForm,
     VarietyModel,

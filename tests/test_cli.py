@@ -155,6 +155,25 @@ def test_any_recipe_ends_in_answer_or_domain_error(time_limit, recipe):
     assert (code == 1) == err.getvalue().startswith("error:")
 
 
+# argv of any shape: subcommands, flags and family ids mixed with random text
+_argv_words = st.one_of(
+    st.sampled_from(["deg", "family", "classify", "verify", "list", "--json", "--only", "--epsilon",
+                     "--dp", "--rho", "-h", "--", "-", "dp", "section4", "2.1", "3.11", "10.1",
+                     "1.17", "9.99", "4/3", "0", "-1", "P(3)", "H^3", "-H^3"]),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_argv_words, max_size=6))
+def test_any_argv_ends_in_an_exit_code(time_limit, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with time_limit(1.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+
+
 class TestFamily:
     def test_known_family(self, capsys):
         code, out, _ = run(capsys, "family", "2.1")

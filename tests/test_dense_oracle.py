@@ -16,7 +16,6 @@ import pytest
 from fanocalc import ring
 from fanocalc.errors import GeometryError
 from fanocalc.ring import (
-    BlowupCenter,
     DivisorClass,
     blowup_points,
     intersection_number,
@@ -61,18 +60,16 @@ def _nonzero(entries):
     return {k: Fraction(v) for k, v in entries.items() if v != 0}
 
 
-def dense_blowup_entries(ambient, center):
+def dense_blowup_entries(ambient, genus=None, degrees=None):
     n = ambient.dimension
     m = len(ambient.basis)
     e_idx = m
-    if center.kind == "curve":
-        degrees = [0] * m
-        for name, value in center.degrees:
-            degrees[ambient.basis_index(name)] = value
+    curve = degrees is not None
+    if curve:
+        degrees = [degrees.get(b, 0) for b in ambient.basis]
         k_dot_c = -sum(c * dg for c, dg in zip(ambient.anticanonical.coeffs, degrees))
-        e_top = Fraction(2 - 2 * center.genus) + k_dot_c
+        e_top = Fraction(2 - 2 * genus) + k_dot_c
     else:
-        degrees = None
         e_top = Fraction(1) if n == 3 else Fraction(-1)
     entries = {}
     for tup in itertools.combinations_with_replacement(range(m + 1), n):
@@ -82,7 +79,7 @@ def dense_blowup_entries(ambient, center):
             entries[tup] = ambient.form.value(rest)
         elif c == n:
             entries[tup] = e_top
-        elif n == 3 and c == 2 and center.kind == "curve":
+        elif n == 3 and c == 2 and curve:
             entries[tup] = Fraction(-degrees[rest[0]])
     return _nonzero(entries)
 
@@ -229,6 +226,38 @@ def test_kernel_matches_dense_loop(recipe):
     assert intersection_number(model, [k] * n) == dense_intersection_number(model, [k] * n)
 
 
+class _ItertoolsSpy:
+    """Stands in for ring's itertools and records which functions are taken."""
+
+    def __init__(self):
+        self.taken = set()
+
+    def __getattr__(self, name):
+        self.taken.add(name)
+        return getattr(itertools, name)
+
+
+# itertools.product walks the factors' supports, itertools.permutations the stored keys
+@pytest.mark.parametrize("recipe, text, walk", [
+    ("blowup_point(P(3), count=3)", "E1*E1*E1", "product"),
+    ("blowup_point(P(3), count=3)", "H*H*E2", "product"),
+    ("blowup_point(P(3), count=12)", "-K", "permutations"),
+    ("prod(P(1),P(1),P(1),P(1))", "-K", "permutations"),
+])
+def test_both_walks_match_dense_loop(monkeypatch, recipe, text, walk):
+    model = model_from_recipe(recipe)
+    if text == "-K":
+        classes = [model.anticanonical] * model.dimension
+    else:
+        classes = [model.divisor(t) for t in text.split("*")]
+    expected = dense_intersection_number(model, classes)
+    spy = _ItertoolsSpy()
+    monkeypatch.setattr(ring, "itertools", spy)
+    assert intersection_number(model, classes) == expected
+    assert model.evaluate("*".join(_class_text(c.coeffs, model.basis) for c in classes)) == expected
+    assert spy.taken == {walk}
+
+
 # ---------------------------------------------------------------------------
 # constructors against the reference builders
 
@@ -237,21 +266,22 @@ def test_point_blowups_match_dense_builder():
     for recipe, count in (("P(3)", 20), ("P(2)", 8), ("divisor_in(P(4), 2*H)", 3)):
         model = model_from_recipe(recipe)
         for _ in range(count):
-            expected = dense_blowup_entries(model, BlowupCenter.point())
-            model = make_blowup(model, BlowupCenter.point())
+            expected = dense_blowup_entries(model)
+            model = make_blowup(model)
             assert model.form.entries == expected
 
 
 def test_curve_blowups_match_dense_builder():
     steps = [
-        (P(3), BlowupCenter.curve(0, {"H": 1})),
-        (P(3), BlowupCenter.curve(5, {"H": 7})),
-        (blowup_points(P(3), 2), BlowupCenter.curve(1, {"H": 4, "E2": 2})),
+        (P(3), 0, {"H": 1}),
+        (P(3), 5, {"H": 7}),
+        (blowup_points(P(3), 2), 1, {"H": 4, "E2": 2}),
     ]
-    y1 = make_blowup(P(3), BlowupCenter.curve(0, {"H": 1}))
-    steps.append((y1, BlowupCenter.curve(0, {"H": 0, "E1": -1})))
-    for ambient, center in steps:
-        assert make_blowup(ambient, center).form.entries == dense_blowup_entries(ambient, center)
+    y1 = make_blowup(P(3), 0, {"H": 1})
+    steps.append((y1, 0, {"H": 0, "E1": -1}))
+    for ambient, genus, degrees in steps:
+        assert (make_blowup(ambient, genus, degrees).form.entries
+                == dense_blowup_entries(ambient, genus, degrees))
 
 
 @pytest.mark.parametrize("recipes", [

@@ -15,8 +15,8 @@ from fanocalc.errors import (
     UnknownSymbolError,
     UnsupportedDimensionError,
 )
+from fanocalc.parser import parse_class_expr
 from fanocalc.ring import (
-    BlowupCenter,
     DivisorClass,
     blowup_points,
     intersection_number,
@@ -79,6 +79,10 @@ class TestEarlyDegreeCheck:
     def test_literal_zero_has_every_degree(self):
         assert P(3).evaluate("0*H^2") == 0
         assert P(3).evaluate("H^3+(H-H)*H") == 1
+        # a sum that cancels in part keeps no zero coefficient in its factor
+        m = make_product([P(1), P(1), P(1)])
+        walked = ring._walk(m, parse_class_expr("(H1+H2-H1)*H2*H3"))
+        assert walked == [(1, ({1: 1}, {1: 1}, {2: 1}))]
 
 
 class TestDelPezzoThreefold:
@@ -125,13 +129,20 @@ class TestProduct:
         with time_limit(1.0):
             assert m.evaluate(f"({text})^4") == intersection_number(m, [everything] * 4)
 
-    def test_sum_of_many_products_is_bounded(self, time_limit):
-        m = model_from_recipe("prod(blowup_point(P(2),count=20), blowup_point(P(2),count=20))")
+    @pytest.mark.parametrize("count, text, value", [
         # E^2 = -1 on each factor; 40 x 40 products of four classes
-        left = "+".join(f"{e}*{e}" for e in m.basis[1:21] * 2)
-        right = "+".join(f"{e}*{e}" for e in m.basis[22:42] * 2)
+        (20, "({})*({})".format("+".join(f"E{i}1*E{i}1" for i in list(range(1, 21)) * 2),
+                                "+".join(f"E{i}2*E{i}2" for i in list(range(1, 21)) * 2)), 1600),
+        # 99 x 99 products of four classes over a basis of 128 and 4096 stored
+        # keys; only the squares of the two sums survive, -49 each
+        (63, "(H1*E11+{}+{})^2".format("+".join(f"H1*E{i}2" for i in range(1, 50)),
+                                       "+".join(f"H2*E{i}1" for i in range(1, 50))), -98),
+    ], ids=["squares", "pairs"])
+    def test_sum_of_many_products_is_bounded(self, time_limit, count, text, value):
+        m = model_from_recipe(
+            f"prod(blowup_point(P(2),count={count}), blowup_point(P(2),count={count}))")
         with time_limit(1.0):
-            assert m.evaluate(f"({left})*({right})") == 1600
+            assert m.evaluate(text) == value
 
 
 class TestBlowup:
@@ -167,7 +178,7 @@ class TestBlowup:
             model_from_recipe("blowup_point(blowup_point(P(3), count=40), count=40)")
 
     def test_curve_blowup_line(self):
-        m = make_blowup(P(3), BlowupCenter.curve(0, {"H": 1}))
+        m = make_blowup(P(3), 0, {"H": 1})
         # E^3 = 2 - 2g + deg(-K_Y restricted to C) = 2 + (-4) applied to degree 1
         assert m.evaluate("E^3") == -2
         assert m.evaluate("H*E^2") == -1
@@ -175,15 +186,19 @@ class TestBlowup:
         # a class named twice, directly or through an alias, is not a degree map
         for degrees in ((("H", 1), ("H", 2)), (("H", 1), ("L", 2))):
             with pytest.raises(GeometryError):
-                make_blowup(P(3), BlowupCenter("curve", 0, degrees))
+                make_blowup(P(3), 0, degrees)
+        # a curve needs a genus >= 0; without degrees the center is a point
+        for genus, degrees in ((-1, {"H": 1}), (None, {"H": 1}), (0, None)):
+            with pytest.raises(GeometryError, match="genus"):
+                make_blowup(P(3), genus, degrees)
 
     def test_curve_blowup_twisted_cubic(self):
-        m = make_blowup(P(3), BlowupCenter.curve(0, {"H": 3}))
+        m = make_blowup(P(3), 0, {"H": 3})
         assert m.evaluate("E^3") == 2 - 4 * 3
         assert m.evaluate("H*E^2") == -3
 
     def test_anticanonical_of_curve_blowup(self):
-        m = make_blowup(P(3), BlowupCenter.curve(0, {"H": 1}))
+        m = make_blowup(P(3), 0, {"H": 1})
         assert m.anticanonical == m.divisor("4*H-E")
 
 
