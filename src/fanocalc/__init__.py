@@ -26,7 +26,6 @@ from .classify import (
     families_with_dp_fibration,
     fibration_degree,
     pencil_check,
-    splitting_fiber_degree,
     verify_paper,
 )
 from .errors import (
@@ -36,7 +35,6 @@ from .errors import (
     GeometryError,
     InconsistentModelError,
     NoRecipeError,
-    NotAPencilError,
     ParseError,
     UnknownFamilyError,
     UnknownSymbolError,

@@ -29,6 +29,9 @@ def _fmt_epsilon(rec: catalog.FanoFamilyRecord) -> str:
 
 def _rational_arg(text: str) -> Fraction:
     try:
+        # Fraction expands a decimal exponent in full, however large it is
+        if "e" in text.lower():
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")

@@ -45,9 +45,5 @@ class NoRecipeError(FanoCalcError):
     """No construction recipe is curated for the requested family."""
 
 
-class NotAPencilError(FanoCalcError):
-    """The chosen splitting side does not define a pencil of surfaces."""
-
-
 class InconsistentModelError(FanoCalcError):
     """A numeric check contradicts a structural fact the model must satisfy."""

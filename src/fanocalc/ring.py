@@ -128,6 +128,9 @@ class VarietyModel:
     Instances are immutable after construction and compared by identity.
     ``aliases`` maps alternative symbol spellings to basis names (e.g. the
     hyperplane class of projective space answers to both ``H`` and ``L``).
+    ``ample_ref`` is a reference class with positive top power; on a blow-up
+    it is a pull-back, so it is not ample there.  Only the constructors'
+    checks and ``classify.complete_intersection_check`` read it.
     """
 
     def __init__(
@@ -202,26 +205,6 @@ class VarietyModel:
 # --------------------------------------------------------------------------
 
 
-_Poly = dict[tuple[int, ...], Fraction]  # sorted basis-index tuple -> coefficient
-
-
-def _poly_mul(a: _Poly, b: _Poly, max_deg: int) -> _Poly:
-    """Product of two polynomials in the basis symbols, dropping monomials
-    of degree above ``max_deg``."""
-    out: _Poly = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            if len(ka) + len(kb) > max_deg:
-                continue
-            k = tuple(sorted(ka + kb))
-            s = out.get(k, 0) + va * vb
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
-
-
 def _without(key: tuple[int, ...], sub: Iterable[int]) -> tuple[int, ...]:
     """The sorted index tuple ``key`` with one occurrence of each of ``sub`` removed."""
     rest = list(key)
@@ -241,10 +224,10 @@ def _contract(
 
     Walks the smaller side: the ordered index tuples of the factors'
     supports, each looked up as a sorted key, or the stored keys, each over
-    its distinct orderings.
+    its distinct orderings, up to n! of them.
     """
     total = Fraction(0)
-    if math.prod(map(len, factors)) <= len(entries):
+    if math.prod(map(len, factors)) <= len(entries) * math.factorial(len(factors)):
         for indices in itertools.product(*factors):
             term = entries.get(tuple(sorted(indices)))
             if term:
@@ -444,40 +427,28 @@ def make_projective_bundle(base: VarietyModel, summands: Sequence[DivisorClass])
     m = len(base.basis)
     d = base.dimension
 
-    # zeta satisfies prod_i (zeta - a_i) = 0, so zeta^(r-1+t) pushes forward
-    # to the complete homogeneous polynomial h_t(a_1, ..., a_r) (Fulton,
-    # Intersection Theory, 3.2).  The sum of all h_t up to degree d is the
-    # product of the geometric series 1/(1 - a_i).
-    h: _Poly = {(): Fraction(1)}
-    for s in summands:
-        a = {(i,): c for i, c in enumerate(s.coeffs) if c != 0}
-        series = power = {(): Fraction(1)}
-        for _ in range(d):
-            power = _poly_mul(power, a, d)
-            series.update(power)  # the powers have disjoint monomials
-        h = _poly_mul(h, series, d)
-
-    # zeta^(r-1+t) * mu has degree sum_T h[T] * F(mu + T) over the monomials
-    # T of h_t, so each stored base key K feeds mu = K - T for every
-    # sub-multiset T of K
+    # zeta^(r-1+t) * mu pushes forward to mu * h_t(a_1, ..., a_r) (Fulton,
+    # Intersection Theory, 3.2): h_t sums over the multisets of t summands,
+    # and a term can be nonzero only for mu inside a stored base key
+    a = [_sparse(s.coeffs) for s in summands]
     zeta = m
     entries: dict[tuple[int, ...], Fraction] = {}
-    for key, value in base.form.entries.items():
+    for key in base.form.entries:
         for t in range(d + 1):
-            for sub in set(itertools.combinations(key, t)):
-                if sub in h:
-                    k = _without(key, sub) + (zeta,) * (r - 1 + t)
-                    entries[k] = entries.get(k, 0) + h[sub] * value
+            for mu in set(itertools.combinations(key, d - t)):
+                k = mu + (zeta,) * (r - 1 + t)
+                if k not in entries:
+                    units = [{i: Fraction(1)} for i in mu]
+                    entries[k] = sum(
+                        _contract(base.form.entries, units + list(sub))
+                        for sub in itertools.combinations_with_replacement(a, t)
+                    )
 
-    antican = [Fraction(0)] * m + [Fraction(r)]
-    for i, c in enumerate(base.anticanonical.coeffs):
-        antican[i] += c
-    for s in summands:
-        for i, c in enumerate(s.coeffs):
-            antican[i] -= c
+    antican = [c - sum(s.coeffs[i] for s in summands)
+               for i, c in enumerate(base.anticanonical.coeffs)] + [Fraction(r)]
 
-    # zeta alone need not be positive; shift by the least pulled-back ample
-    # multiple that makes the top self-intersection positive
+    # zeta alone need not be positive; shift by the least pulled-back multiple
+    # of the base's reference class that makes the top self-intersection positive
     for shift in range(0, 64):
         ample = [(1 + shift) * c for c in base.ample_ref.coeffs] + [Fraction(1)]
         if _contract(entries, [_sparse(ample)] * n) > 0:
@@ -505,7 +476,8 @@ def make_blowup(
     ``degrees`` records D·C for ambient basis classes D, as a mapping or as
     (name, degree) pairs; omitted names default to zero.  Degrees may be
     negative (strict-transform bookkeeping for centers inside an earlier
-    exceptional divisor).
+    exceptional divisor).  The reference class is the ambient one pulled
+    back, which contracts E, so it is not ample on the blow-up.
     """
     if degrees is None and genus is not None:
         raise GeometryError("point centers carry no genus")

@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 from fanocalc import catalog, classify, ring
 from fanocalc.classify import (
     Splitting,
+    classify_splitting,
     dp_surface_epsilon,
     epsilon_general,
     epsilon_of_family,
     families_with_dp_fibration,
     fibration_degree,
-    splitting_fiber_degree,
 )
 from fanocalc.errors import ParseError
 from fanocalc.parser import parse_class_expr, parse_family_id, pretty_print
@@ -120,9 +120,9 @@ def test_criterion_6_adjunction_oracle():
         real = catalog.realize_recipe(fid)
         s = Splitting(real.d1, real.d2, free1=real.free[0],
                       free2=real.free[1], nef_big_second=real.nef_big_second)
-        assert splitting_fiber_degree(s, "first") == fibration_degree(
-            real.middle, real.pencil
-        )
+        out = classify_splitting(s)
+        assert out.pencil_side == "first"
+        assert out.fiber_degree == fibration_degree(real.middle, real.pencil)
         checked += 1
     assert checked >= 8
     _verdict(6, "adjunction-oracle")

@@ -13,13 +13,11 @@ from fanocalc.classify import (
     families_with_dp_fibration,
     fibration_degree,
     pencil_check,
-    splitting_fiber_degree,
     verify_paper,
 )
 from fanocalc.errors import (
     GeometryError,
     InconsistentModelError,
-    NotAPencilError,
     UnknownFamilyError,
 )
 from fanocalc.parser import parse_family_id
@@ -70,6 +68,13 @@ class TestPencilCheck:
         real, _ = _splitting("2.4")
         assert pencil_check(real.model, real.d1)
 
+    # on a blow-up the pull-back reference class contracts E, so (H+E)^2.A = 0
+    # although (H+E)^2.E = -4; the form alone tells the two apart
+    @pytest.mark.parametrize("cls,expected", [("H+E", False), ("H-E", True)])
+    def test_line_blowup_reads_only_the_form(self, cls, expected):
+        m = make_blowup(make_projective_space(3), genus=0, degrees={"H": 1})
+        assert pencil_check(m, m.divisor(cls)) is expected
+
     def test_requires_integral_class(self):
         m = make_projective_space(3)
         with pytest.raises(GeometryError):
@@ -104,12 +109,8 @@ class TestFibrationDegree:
     @pytest.mark.parametrize("fid,expected", sorted(APPENDIX.items()))
     def test_agrees_with_blowup_computation(self, fid, expected):
         real, s = _splitting(fid)
-        assert splitting_fiber_degree(s, "first") == expected
-
-    def test_not_a_pencil(self):
-        _, s = _splitting("3.19")
-        with pytest.raises(NotAPencilError):
-            splitting_fiber_degree(s, "first")
+        out = classify_splitting(s)
+        assert (out.pencil_side, out.fiber_degree) == ("first", expected)
 
 
 class TestClassifySplitting:

@@ -291,9 +291,12 @@ class TestList:
         assert code == 0
         assert out.strip() == "count 0"
 
-    def test_malformed_rational_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, "list", "--epsilon", "x/y")
-        assert code == 2
+    def test_malformed_rational_is_usage_error(self, capsys, time_limit):
+        for text in ("x/y", "1e999999999"):
+            with time_limit(1.0):
+                code, _, err = run(capsys, "list", "--epsilon", text)
+            assert code == 2
+            assert "not a rational number" in err
 
     def test_rho_filter_count(self, capsys):
         code, out, _ = run(capsys, "list", "--rho", "4")

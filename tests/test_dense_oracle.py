@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from fanocalc import ring
+from fanocalc.classify import pencil_check
 from fanocalc.errors import GeometryError
 from fanocalc.ring import (
     DivisorClass,
@@ -321,6 +322,9 @@ def test_divisors_in_match_dense_builder(ambient_recipe, cls):
     ("prod(P(1),P(1))", ("0", "-H1-H2", "-H1-H2")),
     ("blowup_point(P(2), count=2)", ("0", "H-E1")),
     ("P(3)", ("H", "-2*H")),
+    ("blowup_point(P(3), count=2)", ("H-E1", "2*H-E2")),
+    ("prod(P(1), blowup_point(P(2), count=2))", ("0", "H2-E1")),
+    ("blowup_point(P(2), count=4)", ("0", "H-E1", "2*H-E2-E3")),
 ])
 def test_bundles_match_dense_builder(base_recipe, summands):
     base = model_from_recipe(base_recipe)
@@ -330,6 +334,34 @@ def test_bundles_match_dense_builder(base_recipe, summands):
     assert model.form.entries == expected
     shift = dense_bundle_shift(base, classes, expected)
     assert list(model.ample_ref.coeffs) == [(1 + shift) * c for c in base.ample_ref.coeffs] + [1]
+
+
+# (recipe, classes known to be pencils there); random multiples of them give
+# the True cases, random integral classes mostly the False ones
+@pytest.mark.parametrize("recipe, pencils", [
+    ("blowup_point(P(3), count=3)", ()),
+    (RECIPE_4_9, ("H-E1",)),
+    ("prod(P(1), blowup_point(P(2), count=3))", ("H1", "H2-E1", "H2-E3")),
+])
+def test_pencil_check_matches_dense_loop(recipe, pencils):
+    model = model_from_recipe(recipe)
+    m = len(model.basis)
+    units = [[Fraction(int(j == i)) for j in range(m)] for i in range(m)]
+    rng = random.Random(recipe)
+    candidates = [[Fraction(rng.randint(-2, 2)) for _ in range(m)] for _ in range(30)]
+    candidates += [[rng.randint(1, 3) * c for c in model.divisor(p).coeffs] for p in pencils]
+    seen = set()
+    for vec in candidates:
+        square_is_zero = all(
+            dense_contract(model.form, m, [vec, vec, b]) == 0 for b in units
+        )
+        nonzero = any(
+            dense_contract(model.form, m, [vec, b, c]) != 0 for b in units for c in units
+        )
+        expected = square_is_zero and nonzero
+        assert pencil_check(model, DivisorClass(model, tuple(vec))) is expected
+        seen.add(expected)
+    assert seen == ({True, False} if pencils else {False})
 
 
 def test_bundle_without_positive_reference_class():
