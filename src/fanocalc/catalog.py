@@ -315,7 +315,7 @@ def ci_curve_center(
     two_g_minus_2 = ring.intersection_number(
         middle, [canonical + 2 * pencil, pencil, pencil]
     )
-    genus = (two_g_minus_2 + 2) / 2
+    genus = Fraction(two_g_minus_2 + 2, 2)
     if genus.denominator != 1 or genus < 0:
         raise GeometryError(f"complete intersection curve has invalid genus {genus}")
     return int(genus), degrees

@@ -80,7 +80,7 @@ def pencil_check(model: ring.VarietyModel, d: ring.DivisorClass) -> bool:
     if not d.is_integral:
         raise GeometryError("pencil test requires an integral class")
     v = ring._sparse(d.coeffs)
-    units = [{i: Fraction(1)} for i in range(len(model.basis))]
+    units = [{i: 1} for i in range(len(model.basis))]
     if any(ring._contract(model.form.entries, [v, v, b]) for b in units):
         return False
     pairs = itertools.combinations_with_replacement(units, 2)

@@ -2,7 +2,8 @@
 
 A variety is presented by an ordered divisor basis together with the
 top-degree symmetric multilinear form on that basis.  All arithmetic is
-exact (``fractions.Fraction``); no floating point is used anywhere.
+exact: values are ints where integral, else ``fractions.Fraction``, and
+results are ``Fraction``; no floating point is used anywhere.
 
 Models are built compositionally: projective spaces, products, split
 projective bundles, blow-ups at points or along curves, double covers and
@@ -34,6 +35,11 @@ Rational = Union[int, Fraction]
 
 def _frac(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _exact(x: Rational) -> Rational:
+    """An integral value as an int, anything else unchanged."""
+    return x.numerator if x.denominator == 1 else x
 
 
 # --------------------------------------------------------------------------
@@ -105,21 +111,21 @@ class DivisorClass:
 class IntersectionForm:
     """Sparse symmetric n-linear form on basis indices.
 
-    Entries are keyed by sorted index tuples; unlisted tuples are zero.
+    Entries, ints where integral, are keyed by sorted index tuples; unlisted ones are zero.
     """
 
     dimension: int
-    entries: Mapping[tuple[int, ...], Fraction]
+    entries: Mapping[tuple[int, ...], Rational]
 
     def value(self, indices: Iterable[int]) -> Fraction:
         key = tuple(sorted(indices))
         if len(key) != self.dimension:
             raise DegreeError(f"expected {self.dimension} indices, got {len(key)}")
-        return self.entries.get(key, Fraction(0))
+        return Fraction(self.entries.get(key, 0))
 
 
-def _freeze_entries(raw: Mapping[tuple[int, ...], Rational]) -> dict[tuple[int, ...], Fraction]:
-    return {tuple(sorted(k)): _frac(v) for k, v in raw.items() if v != 0}
+def _freeze_entries(raw: Mapping[tuple[int, ...], Rational]) -> dict[tuple[int, ...], Rational]:
+    return {tuple(sorted(k)): _exact(v) for k, v in raw.items() if v != 0}
 
 
 class VarietyModel:
@@ -213,12 +219,12 @@ def _without(key: tuple[int, ...], sub: Iterable[int]) -> tuple[int, ...]:
     return tuple(rest)
 
 
-def _sparse(coeffs: Sequence[Fraction]) -> dict[int, Fraction]:
-    return {i: c for i, c in enumerate(coeffs) if c}
+def _sparse(coeffs: Sequence[Rational]) -> dict[int, Rational]:
+    return {i: _exact(c) for i, c in enumerate(coeffs) if c}
 
 
 def _contract(
-    entries: Mapping[tuple[int, ...], Fraction], factors: Sequence[Mapping[int, Fraction]]
+    entries: Mapping[tuple[int, ...], Rational], factors: Sequence[Mapping[int, Rational]]
 ) -> Fraction:
     """Form with the given entries applied to sparse class vectors.
 
@@ -226,7 +232,7 @@ def _contract(
     supports, each looked up as a sorted key, or the stored keys, each over
     its distinct orderings, up to n! of them.
     """
-    total = Fraction(0)
+    total = 0
     if math.prod(map(len, factors)) <= len(entries) * math.factorial(len(factors)):
         for indices in itertools.product(*factors):
             term = entries.get(tuple(sorted(indices)))
@@ -234,7 +240,7 @@ def _contract(
                 for vec, i in zip(factors, indices):
                     term *= vec[i]
                 total += term
-        return total
+        return Fraction(total)
     for key, value in entries.items():
         coeff = 0
         for perm in set(itertools.permutations(key)):
@@ -246,7 +252,7 @@ def _contract(
             coeff += term
         if coeff:
             total += coeff * value
-    return total
+    return Fraction(total)
 
 
 def intersection_number(model: VarietyModel, classes: Sequence[DivisorClass]) -> Fraction:
@@ -264,12 +270,12 @@ def intersection_number(model: VarietyModel, classes: Sequence[DivisorClass]) ->
 
 # A walked class expression is a list of terms (coefficient, nonzero sparse class vectors).
 # _collect merges the constants and the linear terms, so a power of a sum stays one product.
-_Term = tuple[Fraction, tuple[dict[int, Fraction], ...]]
+_Term = tuple[Rational, tuple[dict[int, Rational], ...]]
 
 
 def _collect(terms: list[_Term]) -> list[_Term]:
-    const = Fraction(0)
-    linear: dict[int, Fraction] = {}
+    const = 0
+    linear: dict[int, Rational] = {}
     out = []
     for c, factors in terms:
         if not factors:
@@ -281,7 +287,7 @@ def _collect(terms: list[_Term]) -> list[_Term]:
             out.append((c, factors))
     linear = {i: x for i, x in linear.items() if x}
     if linear:
-        out.append((Fraction(1), (linear,)))
+        out.append((1, (linear,)))
     if const:
         out.append((const, ()))
     return out
@@ -300,9 +306,9 @@ def _multiply(model: VarietyModel, a: list[_Term], b: list[_Term]) -> list[_Term
 def _walk(model: VarietyModel, e: pmod.ClassExpr) -> list[_Term]:
     """A class expression as a short sum of products of at most n class vectors."""
     if isinstance(e, pmod.Sym):
-        return [(Fraction(1), ({model.basis_index(e.name): Fraction(1)},))]
+        return [(1, ({model.basis_index(e.name): 1},))]
     if isinstance(e, pmod.Num):
-        return [(e.value, ())] if e.value else []
+        return [(_exact(e.value), ())] if e.value else []
     if isinstance(e, pmod.Neg):
         return [(-c, f) for c, f in _walk(model, e.arg)]
     if isinstance(e, (pmod.Add, pmod.Sub)):
@@ -314,7 +320,7 @@ def _walk(model: VarietyModel, e: pmod.ClassExpr) -> list[_Term]:
         if e.exp > model.dimension:
             raise DegreeError(f"exponent {e.exp} is above the dimension of {model.name}")
         base = _walk(model, e.base)
-        out: list[_Term] = [(Fraction(1), ())]
+        out: list[_Term] = [(1, ())]
         for _ in range(e.exp):
             out = _multiply(model, out, base)
         return out
@@ -389,23 +395,18 @@ def make_product(factors: Sequence[VarietyModel]) -> VarietyModel:
 
     # Kuenneth: a stored key of the product joins one stored key per factor
     offsets = list(itertools.accumulate((len(f.basis) for f in factors[:-1]), initial=0))
-    entries: dict[tuple[int, ...], Fraction] = {}
+    entries: dict[tuple[int, ...], Rational] = {}
     for combo in itertools.product(*(f.form.entries.items() for f in factors)):
         key = tuple(off + i for off, (k, _) in zip(offsets, combo) for i in k)
         entries[key] = math.prod(v for _, v in combo)
 
-    antican: list[Fraction] = []
-    ample: list[Fraction] = []
-    for f in factors:
-        antican.extend(f.anticanonical.coeffs)
-        ample.extend(f.ample_ref.coeffs)
     return VarietyModel(
         name="x".join(f.name for f in factors),
         dimension=n,
         basis=basis,
         entries=entries,
-        anticanonical=antican,
-        ample_ref=ample,
+        anticanonical=[c for f in factors for c in f.anticanonical.coeffs],
+        ample_ref=[c for f in factors for c in f.ample_ref.coeffs],
         aliases={},
     )
 
@@ -424,33 +425,32 @@ def make_projective_bundle(base: VarietyModel, summands: Sequence[DivisorClass])
     if n > 4:
         raise UnsupportedDimensionError(f"bundle of total dimension {n} not supported")
 
-    m = len(base.basis)
     d = base.dimension
 
     # zeta^(r-1+t) * mu pushes forward to mu * h_t(a_1, ..., a_r) (Fulton,
     # Intersection Theory, 3.2): h_t sums over the multisets of t summands,
     # and a term can be nonzero only for mu inside a stored base key
     a = [_sparse(s.coeffs) for s in summands]
-    zeta = m
-    entries: dict[tuple[int, ...], Fraction] = {}
+    zeta = len(base.basis)
+    entries: dict[tuple[int, ...], Rational] = {}
     for key in base.form.entries:
         for t in range(d + 1):
             for mu in set(itertools.combinations(key, d - t)):
                 k = mu + (zeta,) * (r - 1 + t)
                 if k not in entries:
-                    units = [{i: Fraction(1)} for i in mu]
+                    units = [{i: 1} for i in mu]
                     entries[k] = sum(
                         _contract(base.form.entries, units + list(sub))
                         for sub in itertools.combinations_with_replacement(a, t)
                     )
 
     antican = [c - sum(s.coeffs[i] for s in summands)
-               for i, c in enumerate(base.anticanonical.coeffs)] + [Fraction(r)]
+               for i, c in enumerate(base.anticanonical.coeffs)] + [r]
 
     # zeta alone need not be positive; shift by the least pulled-back multiple
     # of the base's reference class that makes the top self-intersection positive
     for shift in range(0, 64):
-        ample = [(1 + shift) * c for c in base.ample_ref.coeffs] + [Fraction(1)]
+        ample = [(1 + shift) * c for c in base.ample_ref.coeffs] + [1]
         if _contract(entries, [_sparse(ample)] * n) > 0:
             break
     else:
@@ -497,7 +497,7 @@ def make_blowup(
     # meets them only in E^n and, for a curve, D.E^2 = -D.C
     entries = dict(ambient.form.entries)
     if degrees is None:
-        entries[(m,) * n] = Fraction(1) if n == 3 else Fraction(-1)
+        entries[(m,) * n] = 1 if n == 3 else -1
     else:
         given: dict[int, int] = {}
         for name, value in degrees.items() if isinstance(degrees, Mapping) else degrees:
@@ -505,16 +505,16 @@ def make_blowup(
             if i in given:
                 raise GeometryError(f"degree against {ambient.basis[i]} given twice")
             given[i] = value
-            entries[(i, m, m)] = Fraction(-value)
+            entries[(i, m, m)] = -value
         # E^3 = 2 - 2g + K_Y.C, with K_Y.C from the degrees against -K_Y
         k_dot_c = -sum(ambient.anticanonical.coeffs[i] * dg for i, dg in given.items())
-        entries[(m,) * n] = Fraction(2 - 2 * genus) + k_dot_c
+        entries[(m,) * n] = 2 - 2 * genus + k_dot_c
 
     # exceptional coefficient of -K is codim - 1: -2E for a point on a
     # threefold, -E for a curve or a point on a surface
     codim = 2 if (degrees is not None or n == 2) else n
-    antican = list(ambient.anticanonical.coeffs) + [Fraction(-(codim - 1))]
-    ample = list(ambient.ample_ref.coeffs) + [Fraction(0)]
+    antican = list(ambient.anticanonical.coeffs) + [1 - codim]
+    ample = list(ambient.ample_ref.coeffs) + [0]
 
     aliases = dict(ambient.aliases)
     aliases.pop("E", None)
@@ -581,7 +581,7 @@ def make_divisor_in(ambient: VarietyModel, hypersurface_class: DivisorClass) -> 
     h = hypersurface_class.coeffs
     # D1.D2.D3 on the hypersurface is D1.D2.D3.h on the ambient: each stored
     # key K feeds K minus one i, once per distinct index i of K
-    entries: dict[tuple[int, ...], Fraction] = {}
+    entries: dict[tuple[int, ...], Rational] = {}
     for key, value in ambient.form.entries.items():
         for i in dict.fromkeys(key):
             if h[i] != 0:

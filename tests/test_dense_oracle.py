@@ -9,6 +9,7 @@ code with the engine beyond ``IntersectionForm.value``.
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -238,19 +239,41 @@ class _ItertoolsSpy:
         return getattr(itertools, name)
 
 
-# itertools.product walks the factors' supports, itertools.permutations the stored keys
+def half_section():
+    """divisor_in(P(4), 1/2*H), which recipes reject as non-integral; H^3 = 1/2."""
+    p4 = P(4)
+    return make_divisor_in(p4, p4.divisor("1/2*H"))
+
+
+def half_section_blown_up():
+    return blowup_points(half_section(), 12)
+
+
+def _factor(model, text):
+    """A class expression, or -K/d for the anticanonical class over d."""
+    if text.startswith("-K"):
+        return Fraction(1, int(text[3:] or 1)) * model.anticanonical
+    return model.divisor(text)
+
+
+# itertools.product walks the factors' supports, itertools.permutations the
+# stored keys; the text's factors are split at the *s outside parentheses,
+# and a single factor stands for its n-th power
 @pytest.mark.parametrize("recipe, text, walk", [
     ("blowup_point(P(3), count=3)", "E1*E1*E1", "product"),
     ("blowup_point(P(3), count=3)", "H*H*E2", "product"),
     ("blowup_point(P(3), count=12)", "-K", "permutations"),
     ("prod(P(1),P(1),P(1),P(1))", "-K", "permutations"),
+    ("blowup_point(P(3), count=3)", "(1/2*E1+1/3*E2)", "product"),
+    ("blowup_point(P(3), count=12)", "-K/4*-K/3*-K", "permutations"),
+    (half_section, "(1/3*H)*H*(1/2*H)", "product"),
+    (half_section_blown_up, "-K/3*-K*-K", "permutations"),
 ])
 def test_both_walks_match_dense_loop(monkeypatch, recipe, text, walk):
-    model = model_from_recipe(recipe)
-    if text == "-K":
-        classes = [model.anticanonical] * model.dimension
-    else:
-        classes = [model.divisor(t) for t in text.split("*")]
+    model = recipe() if callable(recipe) else model_from_recipe(recipe)
+    classes = [_factor(model, t) for t in re.split(r"\*(?![^(]*\))", text)]
+    if len(classes) == 1:
+        classes *= model.dimension
     expected = dense_intersection_number(model, classes)
     spy = _ItertoolsSpy()
     monkeypatch.setattr(ring, "itertools", spy)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanocalc import ring
+from fanocalc.catalog import RECIPES, realize_recipe
 from fanocalc.errors import (
     DegreeError,
     ForeignClassError,
@@ -301,6 +302,38 @@ class TestDivisorClassArithmetic:
         for text in ["H*H-H*H", "1", "H+1"]:
             with pytest.raises(DegreeError):
                 m.divisor(text)
+
+
+class TestExactRepresentation:
+    """Integral values are ints inside the kernel; results are Fractions."""
+
+    def test_integral_entries_are_ints(self):
+        models = [blowup_points(P(3), 20)]
+        for fid in RECIPES:
+            real = realize_recipe(fid)
+            models += [real.middle, real.model]
+        for m in models:
+            assert {type(v) for v in m.form.entries.values()} == {int}, m.name
+
+    def test_results_are_fractions(self):
+        m = blowup_points(P(3), 2)
+        h, e = m.divisor("H"), m.divisor("E1")
+        for value in (
+            intersection_number(m, [h, h, h]),
+            intersection_number(m, [h, h, e]),
+            m.evaluate("(H-E1)^3"),
+            m.evaluate("H^3-H^3"),
+            m.form.value((0, 0, 0)),
+            m.form.value((0, 0, 1)),
+        ):
+            assert type(value) is Fraction
+
+    def test_rational_entry_stays_fraction(self):
+        p4 = P(4)
+        m = make_divisor_in(p4, p4.divisor("1/2*H"))
+        (value,) = m.form.entries.values()
+        assert type(value) is Fraction and value == Fraction(1, 2)
+        assert m.evaluate("(1/3*H)^3") == Fraction(1, 54)
 
 
 # ---------------------------------------------------------------------------
