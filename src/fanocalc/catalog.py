@@ -188,7 +188,6 @@ class FamilyRecipe:
 
 @dataclass(frozen=True)
 class RealizedFamily:
-    family: FamilyId
     middle: ring.VarietyModel          # Y (equals model without a pencil)
     model: ring.VarietyModel           # X
     pencil: Optional[ring.DivisorClass]  # L on Y
@@ -343,14 +342,8 @@ def realize_recipe(family: FamilyId) -> RealizedFamily:
         d2 = model.anticanonical - d1
     if d1 + d2 != model.anticanonical:
         raise GeometryError(f"splitting of {family} does not sum to the anticanonical class")
-    triple = None
-    if rec.triple is not None:
-        triple = tuple(model.divisor(t) for t in rec.triple)
-        total = triple[0] + triple[1] + triple[2]
-        if total != model.anticanonical:
-            raise GeometryError(f"triple splitting of {family} does not sum to -K")
+    triple = None if rec.triple is None else tuple(model.divisor(t) for t in rec.triple)
     return RealizedFamily(
-        family=family,
         middle=middle,
         model=model,
         pencil=pencil,

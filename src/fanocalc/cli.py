@@ -17,14 +17,8 @@ from .errors import FanoCalcError
 from .parser import parse_family_id
 
 
-def _fmt(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _fmt_epsilon(rec: catalog.FanoFamilyRecord) -> str:
-    return "open" if rec.eps_status == "open" else _fmt(rec.epsilon)
+    return "open" if rec.eps_status == "open" else str(rec.epsilon)
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -51,9 +45,9 @@ def cmd_deg(args) -> int:
     model = ring.model_from_recipe(args.recipe)
     value = model.evaluate(args.expr)
     if args.json:
-        print(json.dumps({"value": _fmt(value)}))
+        print(json.dumps({"value": str(value)}))
     else:
-        print(_fmt(value))
+        print(value)
     return 0
 
 
@@ -98,14 +92,14 @@ def cmd_classify(args) -> int:
             "id": str(rec.id),
             "pencil_side": outcome.pencil_side,
             "fiber_degree": outcome.fiber_degree,
-            "epsilon": _fmt(outcome.epsilon),
+            "epsilon": str(outcome.epsilon),
             "notes": list(outcome.notes),
         }))
         return 0
     print(f"family {rec.id}")
     print(f"  splitting: D1={real.d1}  D2={real.d2}")
     print(f"  pencil_side={outcome.pencil_side} fiber_degree={outcome.fiber_degree}")
-    print(f"  epsilon={_fmt(outcome.epsilon)}")
+    print(f"  epsilon={outcome.epsilon}")
     for note in outcome.notes:
         print(f"  rule: {note}")
     return 0

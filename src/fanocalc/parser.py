@@ -92,8 +92,7 @@ def _pp(e: ClassExpr) -> str:
     if isinstance(e, Sym):
         return e.name
     if isinstance(e, Num):
-        v = e.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return str(e.value)
     if isinstance(e, Neg):
         inner = e.arg
         s = _pp(inner)
@@ -229,10 +228,18 @@ def _parse_term(ts: _TokenStream) -> ClassExpr:
     return node
 
 
+def _int_literal(text: str, offset: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts (4300 by default)
+        raise ParseError("integer literal is too long", offset) from None
+
+
 def _parse_uint(ts: _TokenStream, what: str) -> int:
     if ts.cur.kind != "int":
         ts.fail(what)
-    return int(ts.advance().text)
+    tok = ts.advance()
+    return _int_literal(tok.text, tok.pos)
 
 
 def _parse_number(ts: _TokenStream) -> Num:
@@ -299,7 +306,7 @@ def parse_family_id(text: str) -> FamilyId:
     m = _FAMILY_RE.fullmatch(text)
     if m is None:
         raise ParseError("expected family identifier of the form rho.N", 0)
-    rho, n = int(m.group(1)), int(m.group(2))
+    rho, n = (_int_literal(m.group(g), m.start(g)) for g in (1, 2))
     if not 1 <= rho <= 10:
         raise ParseError("Picard rank must be between 1 and 10", m.start(1))
     if n < 1:

@@ -135,8 +135,9 @@ class VarietyModel:
     ``aliases`` maps alternative symbol spellings to basis names (e.g. the
     hyperplane class of projective space answers to both ``H`` and ``L``).
     ``ample_ref`` is a reference class with positive top power; on a blow-up
-    it is a pull-back, so it is not ample there.  Only the constructors'
-    checks and ``classify.complete_intersection_check`` read it.
+    it is a pull-back, so it is not ample there.  Only the top-power check
+    below, the bundle's shift search and
+    ``classify.complete_intersection_check`` read it.
     """
 
     def __init__(
@@ -209,14 +210,6 @@ class VarietyModel:
 # --------------------------------------------------------------------------
 # evaluation
 # --------------------------------------------------------------------------
-
-
-def _without(key: tuple[int, ...], sub: Iterable[int]) -> tuple[int, ...]:
-    """The sorted index tuple ``key`` with one occurrence of each of ``sub`` removed."""
-    rest = list(key)
-    for i in sub:
-        rest.remove(i)
-    return tuple(rest)
 
 
 def _sparse(coeffs: Sequence[Rational]) -> dict[int, Rational]:
@@ -390,9 +383,6 @@ def make_product(factors: Sequence[VarietyModel]) -> VarietyModel:
         for pos, f in enumerate(factors)
         for b in f.basis
     ]
-    if len(set(basis)) != len(basis):
-        raise GeometryError(f"could not disambiguate product basis names: {basis}")
-
     # Kuenneth: a stored key of the product joins one stored key per factor
     offsets = list(itertools.accumulate((len(f.basis) for f in factors[:-1]), initial=0))
     entries: dict[tuple[int, ...], Rational] = {}
@@ -571,23 +561,16 @@ def make_divisor_in(ambient: VarietyModel, hypersurface_class: DivisorClass) -> 
         raise UnsupportedDimensionError("hypersurface models are cut out of fourfolds")
     if hypersurface_class.model is not ambient:
         raise ForeignClassError("hypersurface class must live on the ambient model")
-    a = ambient.ample_ref
-    positivity = intersection_number(ambient, [hypersurface_class, a, a, a])
-    if positivity <= 0:
-        raise GeometryError(
-            f"hypersurface class is numerically trivial against the reference class "
-            f"({positivity})"
-        )
-    h = hypersurface_class.coeffs
-    # D1.D2.D3 on the hypersurface is D1.D2.D3.h on the ambient: each stored
-    # key K feeds K minus one i, once per distinct index i of K
+    # D1.D2.D3 on the hypersurface is D1.D2.D3.h on the ambient (projection
+    # formula), nonzero only for the 3-subsets of stored ambient keys; the
+    # model's own check of A^3 = A.A.A.h rejects a class that is not positive
+    h = _sparse(hypersurface_class.coeffs)
     entries: dict[tuple[int, ...], Rational] = {}
-    for key, value in ambient.form.entries.items():
-        for i in dict.fromkeys(key):
-            if h[i] != 0:
-                k = _without(key, (i,))
-                entries[k] = entries.get(k, 0) + h[i] * value
-    antican = [a_ - b_ for a_, b_ in zip(ambient.anticanonical.coeffs, h)]
+    for key in ambient.form.entries:
+        for sub in itertools.combinations(key, 3):
+            if sub not in entries:
+                entries[sub] = _contract(ambient.form.entries, [{i: 1} for i in sub] + [h])
+    antican = [a - b for a, b in zip(ambient.anticanonical.coeffs, hypersurface_class.coeffs)]
     return VarietyModel(
         name=f"D({ambient.name})",
         dimension=3,

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fanocalc import catalog
+from fanocalc import catalog, classify
 from fanocalc.cli import main
-from fanocalc.parser import pretty_print
+from fanocalc.parser import parse_family_id, pretty_print
 
 from test_parser import _exprs
 
@@ -67,12 +68,15 @@ class TestDeg:
         "blowup_curve(P(3), genus=0, degrees={H:1, L:2})",
         "double_cover(P(3), half_branch=1/2*H)",
         "divisor_in(P(4))", "divisor_in(P(4), 1/2*H)",
+        # rejected by the model's own checks: reference class, basis names
+        "divisor_in(P(4), -H)", "divisor_in(prod(P(2),P(2)), H1-H2)",
+        "prod(prod(P(1),P(1)),P(1),P(1))",
     ])
     def test_bad_recipe(self, capsys, recipe):
         # "0" evaluates on every model, so only the recipe can fail
-        code, _, err = run(capsys, "deg", recipe, "0")
-        assert code == 1
-        assert err.startswith("error:") and "Traceback" not in err
+        code, out, err = run(capsys, "deg", recipe, "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("recipe,expr", [
         ("P(3)", "(" * 2000 + "H" + ")" * 2000 + "^3"),
@@ -270,6 +274,23 @@ class TestVerify:
         code, out, _ = run(capsys, "verify")
         assert code == 1
         assert "FAIL" in out
+
+
+    def test_bad_triple_is_a_fail_line(self, capsys, monkeypatch):
+        fid = parse_family_id("3.1")
+        bad = dataclasses.replace(catalog.RECIPES[fid], triple=("H1", "H2", "H2"))
+        monkeypatch.setitem(catalog.RECIPES, fid, bad)
+        catalog.realize_recipe.cache_clear()
+        try:
+            report = classify.verify_paper()
+            (check,) = [c for c in report.checks
+                        if c.name == "triple-3.1-sums-to-anticanonical"]
+            assert not check.passed and not report.ok
+            code, out, _ = run(capsys, "verify")
+        finally:
+            catalog.realize_recipe.cache_clear()
+        assert code == 1
+        assert "CHECK triple-3.1-sums-to-anticanonical" in out and out.count("FAIL") == 1
 
 
 class TestList:

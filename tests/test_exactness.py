@@ -1,11 +1,15 @@
-"""No floats in the engine: every value fanocalc computes is exact.
+"""Lints over the package.
 
-Each module of the package is parsed and checked for a float literal, any
-use of the name ``float``, and true division ``/``, which turns two ints
-into a float.  Exact division is written ``Fraction(a, b)``.
+No floats in the engine: every value fanocalc computes is exact.  Each
+module of the package is parsed and checked for a float literal, any use of
+the name ``float``, and true division ``/``, which turns two ints into a
+float.  Exact division is written ``Fraction(a, b)``.
+
+The package binds only its modules and ``parse_family_id``.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -34,3 +38,11 @@ def test_lint_sees_each_construct():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_float(path):
     assert list(inexact(path.read_text())) == []
+
+
+def test_package_binds_only_its_modules():
+    for name, value in vars(fanocalc).items():
+        if name.startswith("_") or name == "parse_family_id":
+            continue
+        assert isinstance(value, types.ModuleType), name
+        assert value.__name__ == f"fanocalc.{name}", name

@@ -135,6 +135,20 @@ class TestRecipe:
         assert exc.value.offset == 0
 
 
+# a literal over the interpreter's str -> int digit limit (4300 by default)
+@pytest.mark.parametrize("parse,text,offset", [
+    (parse_class_expr, "H^" + "9" * 5000, 2),
+    (parse_class_expr, "1/" + "9" * 5000 + "*H^3", 2),
+    (parse_recipe, "P(" + "9" * 5000 + ")", 2),
+    (parse_family_id, "9" * 5000 + ".1", 0),
+    (parse_family_id, " 1." + "9" * 5000, 3),
+], ids=["exponent", "denominator", "recipe", "rank", "number"])
+def test_overlong_integer_literal_is_parse_error(parse, text, offset):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.offset == offset
+
+
 def test_readme_grammar_matches_signatures():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Model recipe grammar", 1)[1].split("```")[1]

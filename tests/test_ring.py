@@ -112,6 +112,11 @@ class TestProduct:
         assert m.basis == ("H1", "H2", "H3")
         assert m.evaluate("H1*H2*H3") == 1
 
+    def test_repeated_basis_name_rejected(self):
+        # the inner product's H1, H2 meet the outer renaming H, H -> H2, H3
+        with pytest.raises(GeometryError):
+            make_product([make_product([P(1), P(1)]), P(1), P(1)])
+
     def test_aliases_dropped_on_collision(self):
         m = make_product([P(1), P(2)])
         with pytest.raises(UnknownSymbolError):
@@ -265,6 +270,13 @@ class TestDivisorIn:
         w = make_divisor_in(amb, amb.divisor("H1+H2"))
         assert w.evaluate("(H1+H2)^3") == 6
         assert w.anticanonical == w.divisor("2*H1+2*H2")
+
+    @pytest.mark.parametrize("ambient,text", [
+        (P(4), "-H"), (make_product([P(2), P(2)]), "H1-H2"),
+    ], ids=["negative", "trivial_against_reference"])
+    def test_non_positive_class_rejected(self, ambient, text):
+        with pytest.raises(GeometryError):
+            make_divisor_in(ambient, ambient.divisor(text))
 
     def test_requires_fourfold(self):
         p3 = P(3)
