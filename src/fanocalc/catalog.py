@@ -50,12 +50,14 @@ def _parse_opt_int(text: str) -> Optional[int]:
     return None if text == "?" else int(text)
 
 
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"bad boolean field {text!r}")
+    return text == "true"
+
+
 def _parse_opt_bool(text: str) -> Optional[bool]:
-    if text == "?":
-        return None
-    if text in ("true", "false"):
-        return text == "true"
-    raise ValueError(f"bad boolean field {text!r}")
+    return None if text == "?" else _parse_bool(text)
 
 
 def _parse_record(line: str) -> FanoFamilyRecord:
@@ -65,6 +67,9 @@ def _parse_record(line: str) -> FanoFamilyRecord:
     row = dict(zip(_TSV_COLUMNS, fields))
     fid = parse_family_id(row["id"])
     eps = None if row["epsilon"] == "?" else Fraction(row["epsilon"])
+    status = row["eps_status"]
+    if (status, eps is None) not in (("known", False), ("open", True)):  # known: number, open: '?'
+        raise ValueError(f"row {fid}: status {status!r} does not fit epsilon {row['epsilon']!r}")
     dp = frozenset() if row["dp_degrees"] == "-" else frozenset(
         int(d) for d in row["dp_degrees"].split(",")
     )
@@ -73,9 +78,9 @@ def _parse_record(line: str) -> FanoFamilyRecord:
         rho=int(row["rho"]),
         index=_parse_opt_int(row["index"]),
         epsilon=eps,
-        eps_status=row["eps_status"],
+        eps_status=status,
         dp_degrees=dp,
-        non_bpf=row["non_bpf"] == "true",
+        non_bpf=_parse_bool(row["non_bpf"]),
         clubsuit=_parse_opt_bool(row["clubsuit"]),
         ci_center=_parse_opt_bool(row["ci_center"]),
         ell=_parse_opt_int(row["ell"]),

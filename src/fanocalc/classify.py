@@ -8,7 +8,6 @@ general point through the surface table in dp_surface_epsilon.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -79,12 +78,8 @@ def pencil_check(model: ring.VarietyModel, d: ring.DivisorClass) -> bool:
         raise UnsupportedDimensionError("pencil test requires a threefold")
     if not d.is_integral:
         raise GeometryError("pencil test requires an integral class")
-    v = ring._sparse(d.coeffs)
-    units = [{i: 1} for i in range(len(model.basis))]
-    if any(ring._contract(model.form.entries, [v, v, b]) for b in units):
-        return False
-    pairs = itertools.combinations_with_replacement(units, 2)
-    return any(ring._contract(model.form.entries, [v, b, c]) for b, c in pairs)
+    v, e = ring._sparse(d.coeffs), model.form.entries
+    return not any(ring._contract(e, [v, v]).values()) and any(ring._contract(e, [v]).values())
 
 
 def complete_intersection_check(
@@ -137,9 +132,7 @@ def classify_splitting(s: Splitting, ell_hint: Optional[int] = None) -> Classifi
     if d.denominator != 1 or d < 1:
         raise InconsistentModelError(f"fiber degree {d} is not a positive integer")
     d = int(d)
-    eps = dp_surface_epsilon(min(d, 9))
-    if d >= 4:
-        eps = Fraction(2)
+    eps = dp_surface_epsilon(d) if d <= 3 else Fraction(2)
     return ClassificationOutcome(side, d, eps, (f"pencil on {side} part", f"fiber degree {d}"))
 
 

@@ -203,11 +203,19 @@ class _TokenStream:
 # --------------------------------------------------------------------------
 
 
+def _in_bytes(exc: ParseError, text: str) -> ParseError:
+    """``exc`` with its code-point offset into ``text`` counted in UTF-8 bytes."""
+    return ParseError(exc.message, len(text[: exc.offset].encode("utf-8", "surrogatepass")))
+
+
 def parse_class_expr(text: str) -> ClassExpr:
-    ts = _TokenStream(text)
-    expr = _parse_expr(ts)
-    if ts.cur.kind != "eof":
-        ts.fail("expected end of expression")
+    try:
+        ts = _TokenStream(text)
+        expr = _parse_expr(ts)
+        if ts.cur.kind != "eof":
+            ts.fail("expected end of expression")
+    except ParseError as exc:
+        raise _in_bytes(exc, text) from None
     return expr
 
 
@@ -303,14 +311,17 @@ _FAMILY_RE = re.compile(r"\s*(\d+)\.(\d+)\s*$")
 
 
 def parse_family_id(text: str) -> FamilyId:
-    m = _FAMILY_RE.fullmatch(text)
-    if m is None:
-        raise ParseError("expected family identifier of the form rho.N", 0)
-    rho, n = (_int_literal(m.group(g), m.start(g)) for g in (1, 2))
-    if not 1 <= rho <= 10:
-        raise ParseError("Picard rank must be between 1 and 10", m.start(1))
-    if n < 1:
-        raise ParseError("family number must be positive", m.start(2))
+    try:
+        m = _FAMILY_RE.fullmatch(text)
+        if m is None:
+            raise ParseError("expected family identifier of the form rho.N", 0)
+        rho, n = (_int_literal(m.group(g), m.start(g)) for g in (1, 2))
+        if not 1 <= rho <= 10:
+            raise ParseError("Picard rank must be between 1 and 10", m.start(1))
+        if n < 1:
+            raise ParseError("family number must be positive", m.start(2))
+    except ParseError as exc:
+        raise _in_bytes(exc, text) from None
     return FamilyId(rho, n)
 
 
@@ -372,10 +383,13 @@ _KINDS = {
 
 
 def parse_recipe(text: str) -> Call:
-    ts = _TokenStream(text)
-    recipe = _parse_recipe_call(ts)
-    if ts.cur.kind != "eof":
-        ts.fail("expected end of recipe")
+    try:
+        ts = _TokenStream(text)
+        recipe = _parse_recipe_call(ts)
+        if ts.cur.kind != "eof":
+            ts.fail("expected end of recipe")
+    except ParseError as exc:
+        raise _in_bytes(exc, text) from None
     return recipe
 
 

@@ -218,34 +218,42 @@ def _sparse(coeffs: Sequence[Rational]) -> dict[int, Rational]:
 
 def _contract(
     entries: Mapping[tuple[int, ...], Rational], factors: Sequence[Mapping[int, Rational]]
-) -> Fraction:
-    """Form with the given entries applied to sparse class vectors.
+) -> dict[tuple[int, ...], Rational]:
+    """Form with the given entries applied to k <= n sparse class vectors in k slots.
 
-    Walks the smaller side: the ordered index tuples of the factors'
-    supports, each looked up as a sorted key, or the stored keys, each over
-    its distinct orderings, up to n! of them.
+    Returns the rest of the form, the sorted key of the other n - k slots mapped
+    to its value; a full contraction is keyed by ().  A full one walks the smaller
+    side: the ordered index tuples of the factors' supports, each looked up as a
+    sorted key, or the stored keys, each over its distinct ordered choices of k
+    indices, up to n! of them.  A partial one walks the stored keys.
     """
-    total = 0
-    if math.prod(map(len, factors)) <= len(entries) * math.factorial(len(factors)):
+    k = len(factors)
+    if k == len(next(iter(entries), ())) and (  # every stored key has n indices
+        math.prod(map(len, factors)) <= len(entries) * math.factorial(k)
+    ):
+        total = 0
         for indices in itertools.product(*factors):
             term = entries.get(tuple(sorted(indices)))
             if term:
                 for vec, i in zip(factors, indices):
                     term *= vec[i]
                 total += term
-        return Fraction(total)
+        return {(): total}
+    rest: dict[tuple[int, ...], Rational] = {}
     for key, value in entries.items():
-        coeff = 0
-        for perm in set(itertools.permutations(key)):
-            term = 1
+        for perm in set(itertools.permutations(key, k)):
+            term = value
             for vec, i in zip(factors, perm):
                 term *= vec.get(i, 0)
                 if not term:
                     break
-            coeff += term
-        if coeff:
-            total += coeff * value
-    return Fraction(total)
+            if term:
+                left = list(key)
+                for i in perm:
+                    left.remove(i)
+                left = tuple(left)
+                rest[left] = rest.get(left, 0) + term
+    return rest
 
 
 def intersection_number(model: VarietyModel, classes: Sequence[DivisorClass]) -> Fraction:
@@ -258,7 +266,7 @@ def intersection_number(model: VarietyModel, classes: Sequence[DivisorClass]) ->
             raise TypeError(f"expected a divisor class, got {c!r}")
         if c.model is not model:
             raise ForeignClassError("divisor class belongs to a different model")
-    return _contract(model.form.entries, [_sparse(c.coeffs) for c in classes])
+    return Fraction(_contract(model.form.entries, [_sparse(c.coeffs) for c in classes]).get((), 0))
 
 
 # A walked class expression is a list of terms (coefficient, nonzero sparse class vectors).
@@ -330,7 +338,7 @@ def evaluate(model: VarietyModel, expr: Union[str, pmod.ClassExpr]) -> Fraction:
     for c, factors in _walk(model, ast):
         if len(factors) != model.dimension:
             raise DegreeError(f"expression is not of degree {model.dimension} on {model.name}")
-        total += c * _contract(model.form.entries, factors)
+        total += c * _contract(model.form.entries, factors).get((), 0)
     return total
 
 
@@ -415,24 +423,17 @@ def make_projective_bundle(base: VarietyModel, summands: Sequence[DivisorClass])
     if n > 4:
         raise UnsupportedDimensionError(f"bundle of total dimension {n} not supported")
 
-    d = base.dimension
-
     # zeta^(r-1+t) * mu pushes forward to mu * h_t(a_1, ..., a_r) (Fulton,
     # Intersection Theory, 3.2): h_t sums over the multisets of t summands,
-    # and a term can be nonzero only for mu inside a stored base key
+    # and the base form with t summands applied gives every mu at once
     a = [_sparse(s.coeffs) for s in summands]
     zeta = len(base.basis)
     entries: dict[tuple[int, ...], Rational] = {}
-    for key in base.form.entries:
-        for t in range(d + 1):
-            for mu in set(itertools.combinations(key, d - t)):
+    for t in range(base.dimension + 1):
+        for sub in itertools.combinations_with_replacement(a, t):
+            for mu, value in _contract(base.form.entries, sub).items():
                 k = mu + (zeta,) * (r - 1 + t)
-                if k not in entries:
-                    units = [{i: 1} for i in mu]
-                    entries[k] = sum(
-                        _contract(base.form.entries, units + list(sub))
-                        for sub in itertools.combinations_with_replacement(a, t)
-                    )
+                entries[k] = entries.get(k, 0) + value
 
     antican = [c - sum(s.coeffs[i] for s in summands)
                for i, c in enumerate(base.anticanonical.coeffs)] + [r]
@@ -441,7 +442,7 @@ def make_projective_bundle(base: VarietyModel, summands: Sequence[DivisorClass])
     # of the base's reference class that makes the top self-intersection positive
     for shift in range(0, 64):
         ample = [(1 + shift) * c for c in base.ample_ref.coeffs] + [1]
-        if _contract(entries, [_sparse(ample)] * n) > 0:
+        if _contract(entries, [_sparse(ample)] * n).get((), 0) > 0:
             break
     else:
         raise GeometryError("could not find a positive reference class for the bundle")
@@ -562,14 +563,9 @@ def make_divisor_in(ambient: VarietyModel, hypersurface_class: DivisorClass) -> 
     if hypersurface_class.model is not ambient:
         raise ForeignClassError("hypersurface class must live on the ambient model")
     # D1.D2.D3 on the hypersurface is D1.D2.D3.h on the ambient (projection
-    # formula), nonzero only for the 3-subsets of stored ambient keys; the
-    # model's own check of A^3 = A.A.A.h rejects a class that is not positive
-    h = _sparse(hypersurface_class.coeffs)
-    entries: dict[tuple[int, ...], Rational] = {}
-    for key in ambient.form.entries:
-        for sub in itertools.combinations(key, 3):
-            if sub not in entries:
-                entries[sub] = _contract(ambient.form.entries, [{i: 1} for i in sub] + [h])
+    # formula); the model's own check of A^3 = A.A.A.h rejects a class that
+    # is not positive
+    entries = _contract(ambient.form.entries, [_sparse(hypersurface_class.coeffs)])
     antican = [a - b for a, b in zip(ambient.anticanonical.coeffs, hypersurface_class.coeffs)]
     return VarietyModel(
         name=f"D({ambient.name})",

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fanocalc import catalog, ring
+from fanocalc.cli import main
 from fanocalc.catalog import (
     RECIPES,
     ci_curve_center,
@@ -126,6 +127,27 @@ def test_bad_header_rejected(tmp_path):
     bad.write_text("id\trho\n1.1\t1\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_catalog(str(bad))
+
+
+# one rule per row: a known epsilon is a number, an open one is '?', the status
+# is one of the two, and non_bpf is a boolean like every other flag
+@pytest.mark.parametrize("row, tampered", [
+    ("1.1\t1\t1\t?\topen\t", "1.1\t1\t1\t?\tknown\t"),
+    ("1.4\t1\t1\t2\tknown\t", "1.4\t1\t1\t2\topen\t"),
+    ("1.4\t1\t1\t2\tknown\t", "1.4\t1\t1\t2\tmaybe\t"),
+    ("1.4\t1\t1\t2\tknown\t-\tfalse\t", "1.4\t1\t1\t2\tknown\t-\tyes\t"),
+], ids=["known-without-number", "open-with-number", "unknown-status", "non-boolean-non-bpf"])
+def test_inconsistent_row_rejected(capsys, tmp_path, monkeypatch, row, tampered):
+    with open(catalog.data_path(), encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count(row) == 1
+    alt = tmp_path / "families.tsv"
+    alt.write_text(text.replace(row, tampered), encoding="utf-8")
+    monkeypatch.setenv(catalog.DATA_ENV_VAR, str(alt))
+    with pytest.raises(ValueError):
+        load_catalog()
+    assert main(["family", "1.1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestRecipes:

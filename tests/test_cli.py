@@ -55,6 +55,11 @@ class TestDeg:
         assert code == 1
         assert "offset 2" in err
 
+    def test_parse_error_offset_counts_bytes(self, capsys):
+        code, _, err = run(capsys, "deg", "P(3)", "\u2212H+$")  # the minus takes 3 bytes
+        assert code == 1
+        assert "offset 5" in err
+
     @pytest.mark.parametrize("recipe", [
         "mystery(3)", "P(x)", "P(3, 4)", "P(n=3)", "P(0)", "dp3(8)",
         "prod(P(1))", "prod(P(1), 3)",

@@ -4,10 +4,11 @@
 its argv as JSON, a line with its exit code, then its stdout and its stderr,
 each headed by its number of lines.  The set covers ``verify`` with and
 without ``--json`` and each ``--only``, ``classify`` on every curated
-family, ``family`` on all of them, five ``list`` filters, ``deg`` on every
-curated middle variety and on further bundles and hypersurfaces, and three
-domain errors.  After a deliberate change of output, write the file again
-by running this module as a script::
+family, ``family`` on all 105 catalog families, five ``list`` filters,
+``deg`` on every curated middle variety and on further bundles and
+hypersurfaces, and three domain errors, all with ASCII input.  After a
+deliberate change of output, write the file again by running this module
+as a script::
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/data/cli_golden.txt
 """
@@ -15,6 +16,7 @@ by running this module as a script::
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -98,4 +100,5 @@ def test_cli_output_matches_golden_file(monkeypatch):
 
 
 if __name__ == "__main__":
+    os.environ.pop(catalog.DATA_ENV_VAR, None)
     sys.stdout.buffer.write("".join(map(record, invocations())).encode("utf-8"))

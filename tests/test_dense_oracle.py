@@ -228,6 +228,31 @@ def test_kernel_matches_dense_loop(recipe):
     assert intersection_number(model, [k] * n) == dense_intersection_number(model, [k] * n)
 
 
+@pytest.mark.parametrize("recipe", [
+    "blowup_point(P(3), count=3)",
+    RECIPE_4_9,
+    "prod(P(1), blowup_point(P(2), count=3))",
+    "bundle(prod(P(1),P(1)), summands=[0, H1+H2])",
+    "prod(P(1),P(1),P(1),P(1))",
+    "prod(P(1), P(1), blowup_point(P(2), count=2))",
+    "bundle(P(2), summands=[0, -H, 3*H])",
+])
+def test_partial_contractions_match_dense_loop(recipe):
+    """Applying k classes leaves the form's value at unit vectors in the other slots."""
+    model = model_from_recipe(recipe)
+    n, m = model.dimension, len(model.basis)
+    units = [[Fraction(int(j == i)) for j in range(m)] for i in range(m)]
+    rng = random.Random(recipe)
+    for k in range(n + 1):
+        vectors = [_random_vector(m, rng) for _ in range(k)]
+        rest = ring._contract(model.form.entries, [ring._sparse(v) for v in vectors])
+        lefts = list(itertools.combinations_with_replacement(range(m), n - k))
+        assert set(rest) <= set(lefts)
+        for left in lefts:
+            expected = dense_contract(model.form, m, vectors + [units[i] for i in left])
+            assert rest.get(left, 0) == expected
+
+
 class _ItertoolsSpy:
     """Stands in for ring's itertools and records which functions are taken."""
 

@@ -149,6 +149,18 @@ def test_overlong_integer_literal_is_parse_error(parse, text, offset):
     assert exc.value.offset == offset
 
 
+# offsets count UTF-8 bytes: the Unicode minus takes 3, the no-break space 2
+@pytest.mark.parametrize("parse,text,offset", [
+    (parse_class_expr, "\u2212H+$", 5),
+    (parse_recipe, "divisor_in(P(4), \u2212H+$)", 22),
+    (parse_family_id, "\xa03.0", 4),
+], ids=["expression", "recipe", "family"])
+def test_offset_counts_utf8_bytes(parse, text, offset):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.offset == offset
+
+
 def test_readme_grammar_matches_signatures():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Model recipe grammar", 1)[1].split("```")[1]
