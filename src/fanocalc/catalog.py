@@ -11,19 +11,16 @@ class on the final threefold.
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from . import ring
 from .errors import GeometryError, NoRecipeError, UnknownFamilyError
 from .parser import FamilyId, parse_family_id
 
 DATA_ENV_VAR = "FANOCALC_DATA"
-
-_GENUS = re.compile(r"\bgenus (\d+)")
 
 _TSV_COLUMNS = [
     "id", "rho", "index", "epsilon", "eps_status", "dp_degrees",
@@ -60,13 +57,22 @@ def _parse_opt_bool(text: str) -> Optional[bool]:
     return None if text == "?" else _parse_bool(text)
 
 
+def _parse_epsilon(text: str) -> Fraction:
+    parts = text.split("/")  # p or p/q with p, q >= 1: no sign, no decimal exponent
+    if len(parts) > 2 or not all(t.isascii() and t.isdigit() and int(t) >= 1 for t in parts):
+        raise ValueError(f"bad epsilon field {text!r}")
+    return Fraction(*map(int, parts))
+
+
 def _parse_record(line: str) -> FanoFamilyRecord:
     fields = line.rstrip("\n").split("\t")
     if len(fields) != len(_TSV_COLUMNS):
         raise ValueError(f"bad catalog row: {line!r}")
     row = dict(zip(_TSV_COLUMNS, fields))
     fid = parse_family_id(row["id"])
-    eps = None if row["epsilon"] == "?" else Fraction(row["epsilon"])
+    if int(row["rho"]) != fid.rho:
+        raise ValueError(f"row {fid}: rho {row['rho']!r} does not fit the id")
+    eps = None if row["epsilon"] == "?" else _parse_epsilon(row["epsilon"])
     status = row["eps_status"]
     if (status, eps is None) not in (("known", False), ("open", True)):  # known: number, open: '?'
         raise ValueError(f"row {fid}: status {status!r} does not fit epsilon {row['epsilon']!r}")
@@ -75,7 +81,7 @@ def _parse_record(line: str) -> FanoFamilyRecord:
     )
     return FanoFamilyRecord(
         id=fid,
-        rho=int(row["rho"]),
+        rho=fid.rho,
         index=_parse_opt_int(row["index"]),
         epsilon=eps,
         eps_status=status,
@@ -88,57 +94,6 @@ def _parse_record(line: str) -> FanoFamilyRecord:
     )
 
 
-class Catalog:
-    def __init__(self, records: Iterable[FanoFamilyRecord]):
-        self._by_id: dict[FamilyId, FanoFamilyRecord] = {}
-        for rec in records:
-            if rec.id in self._by_id:
-                raise ValueError(f"duplicate catalog id {rec.id}")
-            self._by_id[rec.id] = rec
-
-    def get(self, family: FamilyId | str) -> FanoFamilyRecord:
-        fid = parse_family_id(family) if isinstance(family, str) else family
-        try:
-            return self._by_id[fid]
-        except KeyError:
-            raise UnknownFamilyError(f"no Fano threefold family {fid}") from None
-
-    def families(
-        self,
-        epsilon: Optional[Fraction] = None,
-        rho: Optional[int] = None,
-        min_rho: Optional[int] = None,
-        dp_degree: Optional[int] = None,
-        predicate: Optional[Callable[[FanoFamilyRecord], bool]] = None,
-    ) -> list[FanoFamilyRecord]:
-        out = []
-        for fid in sorted(self._by_id):
-            rec = self._by_id[fid]
-            if epsilon is not None and rec.epsilon != epsilon:
-                continue
-            if rho is not None and rec.rho != rho:
-                continue
-            if min_rho is not None and rec.rho < min_rho:
-                continue
-            if dp_degree is not None and dp_degree not in rec.dp_degrees:
-                continue
-            if predicate is not None and not predicate(rec):
-                continue
-            out.append(rec)
-        return out
-
-    def index_one_by_genus(self, genus: int) -> FanoFamilyRecord:
-        """The Picard-rank-one, index-one family of the given genus."""
-        for rec in self.families(rho=1):
-            match = _GENUS.search(rec.description)
-            if rec.index == 1 and match and int(match.group(1)) == genus:
-                return rec
-        raise UnknownFamilyError(f"no rank-one index-one family of genus {genus}")
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-
 def data_path() -> str:
     override = os.environ.get(DATA_ENV_VAR)
     if override:
@@ -147,24 +102,47 @@ def data_path() -> str:
 
 
 @lru_cache(maxsize=None)
-def _load(path: str) -> Catalog:
+def _load(path: str) -> dict[FamilyId, FanoFamilyRecord]:
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].split("\t") != _TSV_COLUMNS:
         raise ValueError(f"catalog file {path} has an unexpected header")
-    return Catalog(_parse_record(line) for line in lines[1:] if line.strip())
+    by_id: dict[FamilyId, FanoFamilyRecord] = {}
+    for rec in sorted((_parse_record(line) for line in lines[1:] if line.strip()),
+                      key=lambda r: r.id):
+        if by_id.setdefault(rec.id, rec) is not rec:
+            raise ValueError(f"duplicate catalog id {rec.id}")
+    return by_id
 
 
-def load_catalog(path: Optional[str] = None) -> Catalog:
+def load_catalog(path: Optional[str] = None) -> dict[FamilyId, FanoFamilyRecord]:
+    """The family records by id, in id order; cached and shared, so do not modify it."""
     return _load(path or data_path())
 
 
 def get_family(family: FamilyId | str) -> FanoFamilyRecord:
-    return load_catalog().get(family)
+    records = load_catalog()
+    fid = parse_family_id(family) if isinstance(family, str) else family
+    if fid not in records:
+        raise UnknownFamilyError(f"no Fano threefold family {fid}")
+    return records[fid]
 
 
-def list_families(**kwargs) -> list[FanoFamilyRecord]:
-    return load_catalog().families(**kwargs)
+def list_families(
+    epsilon: Optional[Fraction] = None,
+    rho: Optional[int] = None,
+    min_rho: Optional[int] = None,
+    dp_degree: Optional[int] = None,
+    predicate: Optional[Callable[[FanoFamilyRecord], bool]] = None,
+) -> list[FanoFamilyRecord]:
+    return [
+        rec for rec in load_catalog().values()
+        if (epsilon is None or rec.epsilon == epsilon)
+        and (rho is None or rec.rho == rho)
+        and (min_rho is None or rec.rho >= min_rho)
+        and (dp_degree is None or dp_degree in rec.dp_degrees)
+        and (predicate is None or predicate(rec))
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -182,7 +160,6 @@ class FamilyRecipe:
     describes the threefold itself and ``splitting`` gives the two parts.
     """
 
-    family: FamilyId
     middle: str
     pencil: Optional[str] = None
     splitting: Optional[tuple[str, str]] = None
@@ -204,105 +181,78 @@ class RealizedFamily:
     triple: Optional[tuple[ring.DivisorClass, ...]]
 
 
-def _fid(text: str) -> FamilyId:
-    return parse_family_id(text)
-
-
-def _ci(family, middle, pencil, **kw) -> FamilyRecipe:
-    return FamilyRecipe(_fid(family), middle, pencil=pencil, **kw)
-
-
-_S1 = "blowup_point(P(2), count=8)"
-
 RECIPES: dict[FamilyId, FamilyRecipe] = {
-    r.family: r
-    for r in [
-        _ci("2.1", "dp3(1)", "H", free=(True, False), nef_big_second=True),
-        FamilyRecipe(
-            _fid("2.2"),
+    parse_family_id(text): recipe
+    for text, recipe in {
+        "2.1": FamilyRecipe("dp3(1)", pencil="H", free=(True, False), nef_big_second=True),
+        "2.2": FamilyRecipe(
             "double_cover(prod(P(1),P(2)), half_branch=H1+2*H2)",
             splitting=("H1", "H2"),
         ),
-        _ci("2.3", "double_cover(P(3), half_branch=2*H)", "H"),
-        _ci("2.4", "P(3)", "3*H"),
-        _ci("2.5", "divisor_in(P(4), 3*H)", "H"),
-        FamilyRecipe(
-            _fid("3.1"),
+        "2.3": FamilyRecipe("double_cover(P(3), half_branch=2*H)", pencil="H"),
+        "2.4": FamilyRecipe("P(3)", pencil="3*H"),
+        "2.5": FamilyRecipe("divisor_in(P(4), 3*H)", pencil="H"),
+        "3.1": FamilyRecipe(
             "double_cover(prod(P(1),P(1),P(1)), half_branch=H1+H2+H3)",
             splitting=("H1", "H2+H3"),
             triple=("H1", "H2", "H3"),
         ),
-        FamilyRecipe(
-            _fid("3.2"),
+        "3.2": FamilyRecipe(
             "divisor_in(bundle(prod(P(1),P(1)), summands=[0, -H1-H2, -H1-H2]),"
             " 2*zeta+2*H1+3*H2)",
             splitting=("H1", "zeta+H1+H2"),
         ),
-        FamilyRecipe(
-            _fid("3.3"),
+        "3.3": FamilyRecipe(
             "divisor_in(prod(P(1),P(1),P(2)), H1+H2+2*H3)",
             splitting=("H1", "H2+H3"),
             triple=("H1", "H2", "H3"),
         ),
-        _ci("3.4", "double_cover(prod(P(1),P(2)), half_branch=H1+H2)", "H2"),
-        FamilyRecipe(
-            _fid("3.5"),
+        "3.4": FamilyRecipe("double_cover(prod(P(1),P(2)), half_branch=H1+H2)", pencil="H2"),
+        "3.5": FamilyRecipe(
             "blowup_curve(prod(P(1),P(2)), genus=0, degrees={H1:5, H2:2})",
             splitting=("H1+3*H2-E", "H1"),
         ),
-        _ci("3.7", "divisor_in(prod(P(2),P(2)), H1+H2)", "H1+H2"),
-        FamilyRecipe(
-            _fid("3.8"),
+        "3.7": FamilyRecipe("divisor_in(prod(P(2),P(2)), H1+H2)", pencil="H1+H2"),
+        "3.8": FamilyRecipe(
             "divisor_in(prod(blowup_point(P(2), count=1), P(2)), H1+2*H2)",
             splitting=("2*H1-E1", "H2"),
         ),
-        _ci("3.11", "blowup_point(P(3), count=1)", "2*L-E"),
-        FamilyRecipe(
-            _fid("3.17"),
+        "3.11": FamilyRecipe("blowup_point(P(3), count=1)", pencil="2*L-E"),
+        "3.17": FamilyRecipe(
             "divisor_in(prod(P(1),P(1),P(2)), H1+H2+H3)",
             splitting=("H1", "H2+2*H3"),
             triple=("H1", "H2", "2*H3"),
         ),
-        FamilyRecipe(
-            _fid("3.19"),
+        "3.19": FamilyRecipe(
             "blowup_point(divisor_in(P(4), 2*H), count=2)",
             splitting=("H", "2*H-2*E1-2*E2"),
         ),
-        _ci("3.24", "divisor_in(prod(P(2),P(2)), H1+H2)", "H2"),
-        _ci("3.26", "blowup_point(P(3), count=1)", "L"),
-        FamilyRecipe(
-            _fid("3.31"),
+        "3.24": FamilyRecipe("divisor_in(prod(P(2),P(2)), H1+H2)", pencil="H2"),
+        "3.26": FamilyRecipe("blowup_point(P(3), count=1)", pencil="L"),
+        "3.31": FamilyRecipe(
             "bundle(prod(P(1),P(1)), summands=[0, H1+H2])",
             splitting=("2*zeta", "H1+H2"),
         ),
-        FamilyRecipe(
-            _fid("4.1"),
+        "4.1": FamilyRecipe(
             "divisor_in(prod(P(1),P(1),P(1),P(1)), H1+H2+H3+H4)",
             splitting=("H1", "H2+H3+H4"),
             triple=("H1", "H2", "H3+H4"),
         ),
-        _ci("4.4", "blowup_point(divisor_in(P(4), 2*H), count=2)", "H-E1-E2"),
-        _ci(
-            "4.9",
+        "4.4": FamilyRecipe("blowup_point(divisor_in(P(4), 2*H), count=2)", pencil="H-E1-E2"),
+        "4.9": FamilyRecipe(
             "blowup_curve(blowup_curve(P(3), genus=0, degrees={H:1}),"
             " genus=0, degrees={H:0, E1:-1})",
-            "L",
+            pencil="L",
         ),
-        _ci("5.1", "blowup_point(divisor_in(P(4), 2*H), count=3)", "H-E1-E2-E3"),
-        FamilyRecipe(
-            _fid("10.1"),
-            f"prod(P(1), {_S1})",
+        "5.1": FamilyRecipe("blowup_point(divisor_in(P(4), 2*H), count=3)", pencil="H-E1-E2-E3"),
+        "10.1": FamilyRecipe(
+            "prod(P(1), blowup_point(P(2), count=8))",
             splitting=("H1", "H1+3*H2-E1-E2-E3-E4-E5-E6-E7-E8"),
             free=(True, False),
             nef_big_second=True,
         ),
-    ]
+    }.items()
 }
-
-
-def has_recipe(family: FamilyId | str) -> bool:
-    fid = parse_family_id(family) if isinstance(family, str) else family
-    return fid in RECIPES
 
 
 def ci_curve_center(

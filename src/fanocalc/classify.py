@@ -82,21 +82,6 @@ def pencil_check(model: ring.VarietyModel, d: ring.DivisorClass) -> bool:
     return not any(ring._contract(e, [v, v]).values()) and any(ring._contract(e, [v]).values())
 
 
-def complete_intersection_check(
-    ambient_y: ring.VarietyModel,
-    pencil: ring.DivisorClass,
-    curve_degree_vs_ample: int | Fraction,
-) -> bool:
-    """Necessary numeric test for the center C to be the intersection of two
-    members of |L|: L^2.A must equal A.C."""
-    if ambient_y.dimension != 3:
-        raise UnsupportedDimensionError("complete intersection test requires a threefold")
-    if not pencil.is_integral:
-        raise GeometryError("complete intersection test requires an integral class")
-    value = ring.intersection_number(ambient_y, [pencil, pencil, ambient_y.ample_ref])
-    return value == Fraction(curve_degree_vs_ample)
-
-
 def fibration_degree(ambient_y: ring.VarietyModel, pencil: ring.DivisorClass) -> Fraction:
     """Anticanonical degree of the general fiber after blowing up the base
     locus of |L|: (-K_Y - L)^2 . L."""
@@ -167,7 +152,7 @@ def epsilon_of_family(family: FamilyId | str) -> EpsilonResult:
     whenever one is curated."""
     rec = catalog.get_family(family)
     recomputed = False
-    if rec.eps_status == "known" and catalog.has_recipe(rec.id):
+    if rec.eps_status == "known" and rec.id in catalog.RECIPES:
         _, outcome = classify_family(rec)
         if outcome.epsilon != rec.epsilon:
             raise InconsistentModelError(
@@ -214,8 +199,7 @@ def families_with_dp_fibration(d: int) -> frozenset[FamilyId]:
     """Families with a del Pezzo fibration of low degree d in {1,2,3}."""
     if d not in _DP_SETS:
         raise ValueError(f"only degrees 1..3 are tabulated, got {d}")
-    cat = catalog.load_catalog()
-    found = frozenset(rec.id for rec in cat.families(dp_degree=d))
+    found = frozenset(rec.id for rec in catalog.list_families(dp_degree=d))
     expected = frozenset(parse_family_id(t) for t in _DP_SETS[d])
     if found != expected:
         raise InconsistentModelError(f"catalog dp-fibration set for degree {d} is off")
@@ -274,7 +258,6 @@ def verify_paper() -> VerificationReport:
     """Recompute every published number the engine can reach and report
     expected versus actual, one line per check."""
     checks: list[Check] = []
-    cat = catalog.load_catalog()
 
     # del Pezzo fibration degrees from blow-up recipes, two independent routes
     for fid_text, expected in sorted(_APPENDIX_DEGREES.items(), key=lambda kv: parse_family_id(kv[0])):
@@ -319,7 +302,7 @@ def verify_paper() -> VerificationReport:
     # partition of the rank >= 2 families by Seshadri constant (1, 4/3, 3/2 from _DP_SETS)
     buckets = {dp_surface_epsilon(d): ids for d, ids in _DP_SETS.items()}
     buckets[Fraction(3)] = ("2.28", "2.30", "2.33")
-    high = cat.families(min_rho=2)
+    high = catalog.list_families(min_rho=2)
     claimed = set()
     for eps, ids in sorted(buckets.items()):
         expected_ids = frozenset(parse_family_id(t) for t in ids)
@@ -338,17 +321,17 @@ def verify_paper() -> VerificationReport:
     # tabulated low-degree fibration sets and their structural consequences
     for d, ids in _DP_SETS.items():
         expected_ids = frozenset(parse_family_id(t) for t in ids)
-        actual_ids = frozenset(r.id for r in cat.families(dp_degree=d))
+        actual_ids = frozenset(r.id for r in catalog.list_families(dp_degree=d))
         checks.append(
             Check("dp", f"dp-degree-{d}-families",
                   _fmt_ids(expected_ids), _fmt_ids(actual_ids))
         )
-    non_bpf = frozenset(r.id for r in cat.families(predicate=lambda r: r.non_bpf))
-    eps_one = frozenset(r.id for r in cat.families(epsilon=Fraction(1)))
+    non_bpf = frozenset(r.id for r in catalog.list_families(predicate=lambda r: r.non_bpf))
+    eps_one = frozenset(r.id for r in catalog.list_families(epsilon=Fraction(1)))
     checks.append(
         Check("dp", "base-points-iff-epsilon-1", _fmt_ids(eps_one), _fmt_ids(non_bpf))
     )
-    for rec in cat.families(predicate=lambda r: r.non_bpf):
+    for rec in catalog.list_families(predicate=lambda r: r.non_bpf):
         checks.append(
             Check("dp", f"base-points-{rec.id}-no-low-fibration",
                   "-", ",".join(str(d) for d in sorted(rec.dp_degrees & {2, 3})) or "-")

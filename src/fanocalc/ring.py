@@ -136,8 +136,7 @@ class VarietyModel:
     hyperplane class of projective space answers to both ``H`` and ``L``).
     ``ample_ref`` is a reference class with positive top power; on a blow-up
     it is a pull-back, so it is not ample there.  Only the top-power check
-    below, the bundle's shift search and
-    ``classify.complete_intersection_check`` read it.
+    below and the bundle's shift search read it.
     """
 
     def __init__(
@@ -228,9 +227,8 @@ def _contract(
     indices, up to n! of them.  A partial one walks the stored keys.
     """
     k = len(factors)
-    if k == len(next(iter(entries), ())) and (  # every stored key has n indices
-        math.prod(map(len, factors)) <= len(entries) * math.factorial(k)
-    ):
+    full = k == len(next(iter(entries), ()))  # every stored key has n indices
+    if full and math.prod(map(len, factors)) <= len(entries) * math.factorial(k):
         total = 0
         for indices in itertools.product(*factors):
             term = entries.get(tuple(sorted(indices)))
@@ -248,10 +246,12 @@ def _contract(
                 if not term:
                     break
             if term:
-                left = list(key)
-                for i in perm:
-                    left.remove(i)
-                left = tuple(left)
+                left = ()
+                if not full:
+                    left = list(key)
+                    for i in perm:
+                        left.remove(i)
+                    left = tuple(left)
                 rest[left] = rest.get(left, 0) + term
     return rest
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from fanocalc.catalog import (
     RECIPES,
     ci_curve_center,
     get_family,
-    has_recipe,
     list_families,
     load_catalog,
     realize_recipe,
@@ -21,6 +21,9 @@ from fanocalc.parser import parse_family_id
 DATA_SHA256 = "2096d81a88f3156383037030754d35d89964c10c8cf41de31c590891337be582"
 
 RHO_COUNTS = {1: 17, 2: 36, 3: 31, 4: 13, 5: 3, 6: 1, 7: 1, 8: 1, 9: 1, 10: 1}
+
+# (-K)^3 of each recipe family from the Mori-Mukai tables, in RECIPES order
+MORI_MUKAI_CUBES = [4, 6, 8, 10, 12, 12, 14, 18, 18, 20, 24, 24, 28, 36, 38, 42, 46, 52, 24, 32, 40, 28, 6]
 
 
 def test_data_file_checksum():
@@ -77,17 +80,6 @@ class TestRecords:
         high = [r for r in list_families(min_rho=2) if r.index == 2]
         assert {str(r.id) for r in high} == {"2.32", "2.35", "3.27"}
 
-    def test_genus_lookup(self):
-        rec = load_catalog().index_one_by_genus(4)
-        assert str(rec.id) == "1.3"
-        with pytest.raises(UnknownFamilyError):
-            load_catalog().index_one_by_genus(11)
-        # genus 1 must not match "genus 10" or "genus 12"
-        with pytest.raises(UnknownFamilyError):
-            load_catalog().index_one_by_genus(1)
-        assert str(load_catalog().index_one_by_genus(10).id) == "1.9"
-        assert str(load_catalog().index_one_by_genus(12).id) == "1.10"
-
     def test_non_bpf_set(self):
         assert {str(r.id) for r in list_families() if r.non_bpf} == {"2.1", "10.1"}
 
@@ -130,13 +122,21 @@ def test_bad_header_rejected(tmp_path):
 
 
 # one rule per row: a known epsilon is a number, an open one is '?', the status
-# is one of the two, and non_bpf is a boolean like every other flag
+# is one of the two, non_bpf is a boolean like every other flag, rho is the
+# id's rank, epsilon is p or p/q with p, q >= 1, and no id comes twice
 @pytest.mark.parametrize("row, tampered", [
     ("1.1\t1\t1\t?\topen\t", "1.1\t1\t1\t?\tknown\t"),
     ("1.4\t1\t1\t2\tknown\t", "1.4\t1\t1\t2\topen\t"),
     ("1.4\t1\t1\t2\tknown\t", "1.4\t1\t1\t2\tmaybe\t"),
     ("1.4\t1\t1\t2\tknown\t-\tfalse\t", "1.4\t1\t1\t2\tknown\t-\tyes\t"),
-], ids=["known-without-number", "open-with-number", "unknown-status", "non-boolean-non-bpf"])
+    ("\n3.2\t3\t", "\n3.2\t2\t"),
+    ("1.4\t1\t1\t2\tknown\t", "1.4\t1\t1\t2e0\tknown\t"),
+    ("3.2\t3\t1\t3/2\t", "3.2\t3\t1\t3/0\t"),
+    ("1.4\t1\t1\t2\tknown\t", "1.4\t1\t1\t-2\tknown\t"),
+    ("\n1.5\t", "\n1.4\t"),
+], ids=["known-without-number", "open-with-number", "unknown-status", "non-boolean-non-bpf",
+        "rho-off-the-id", "epsilon-exponent", "epsilon-zero-denominator", "epsilon-negative",
+        "duplicate-id"])
 def test_inconsistent_row_rejected(capsys, tmp_path, monkeypatch, row, tampered):
     with open(catalog.data_path(), encoding="utf-8") as fh:
         text = fh.read()
@@ -159,9 +159,10 @@ class TestRecipes:
             "3.17", "3.19", "3.24", "3.26", "3.31",
             "4.1", "4.4", "4.9", "5.1", "10.1",
         }
+        assert len(MORI_MUKAI_CUBES) == len(RECIPES)
 
     def test_no_recipe_raises(self):
-        assert not has_recipe("1.17")
+        assert parse_family_id("1.17") not in RECIPES
         with pytest.raises(NoRecipeError):
             realize_recipe(parse_family_id("1.17"))
 
@@ -203,6 +204,14 @@ class TestRecipes:
             assert real.triple is not None
             total = real.triple[0] + real.triple[1] + real.triple[2]
             assert total == real.model.anticanonical
+
+    @pytest.mark.parametrize("fid, cube", zip(RECIPES, MORI_MUKAI_CUBES))
+    def test_recipe_invariants_match_the_catalog(self, fid, cube):
+        model, rec = realize_recipe(fid).model, get_family(fid)
+        mk = model.anticanonical
+        assert len(model.basis) == rec.rho
+        assert mk.is_integral and math.gcd(*(int(c) for c in mk.coeffs)) == rec.index
+        assert ring.intersection_number(model, [mk] * 3) == cube
 
     def test_known_anticanonical_degrees(self):
         expected = {"2.1": 4, "2.4": 10, "2.5": 12, "3.31": 52, "2.2": 6}

@@ -2,11 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from fanocalc import catalog, classify, ring
+from fanocalc import catalog, classify
 from fanocalc.classify import (
     Splitting,
     classify_splitting,
-    complete_intersection_check,
     dp_surface_epsilon,
     epsilon_general,
     epsilon_of_family,
@@ -21,14 +20,7 @@ from fanocalc.errors import (
     UnknownFamilyError,
 )
 from fanocalc.parser import parse_family_id
-from fanocalc.ring import (
-    DivisorClass,
-    IntersectionForm,
-    VarietyModel,
-    make_blowup,
-    make_product,
-    make_projective_space,
-)
+from fanocalc.ring import VarietyModel, make_blowup, make_projective_space
 
 
 def _splitting(fid_text):
@@ -79,20 +71,6 @@ class TestPencilCheck:
         m = make_projective_space(3)
         with pytest.raises(GeometryError):
             pencil_check(m, m.divisor("H") * Fraction(1, 2))
-
-
-class TestCompleteIntersectionCheck:
-    def test_pair_of_cubics(self):
-        m = make_projective_space(3)
-        assert complete_intersection_check(m, m.divisor("3*H"), 9)
-
-    def test_bidegree_5_2_curve_is_not(self):
-        m = make_product([make_projective_space(1), make_projective_space(2)])
-        assert not complete_intersection_check(m, m.divisor("3*H1+3*H2"), 7)
-
-    def test_half_anticanonical_on_degree_one(self):
-        m = ring.make_del_pezzo_threefold(1)
-        assert complete_intersection_check(m, m.divisor("H"), 1)
 
 
 class TestFibrationDegree:
@@ -176,6 +154,11 @@ class TestEpsilonOfFamily:
         res = epsilon_of_family("3.2")
         assert res.epsilon == Fraction(3, 2)
         assert res.recomputed
+
+    def test_recomputed_exactly_where_a_recipe_exists(self):
+        recomputed = {r.id for r in catalog.list_families() if epsilon_of_family(r.id).recomputed}
+        assert recomputed == set(catalog.RECIPES)
+        assert len(recomputed) == 23
 
     def test_catalog_only_families(self):
         res = epsilon_of_family("2.33")
