@@ -11,10 +11,9 @@ class on the final threefold.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import ring
 from .errors import GeometryError, NoRecipeError, UnknownFamilyError
@@ -28,8 +27,7 @@ _TSV_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
-class FanoFamilyRecord:
+class FanoFamilyRecord(NamedTuple):
     id: FamilyId
     rho: int
     index: Optional[int]
@@ -150,8 +148,7 @@ def list_families(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyRecipe:
+class FamilyRecipe(NamedTuple):
     """How to build a family's threefold and a splitting of -K on it.
 
     With a ``pencil``, ``middle`` describes Y and ``pencil`` the class L on
@@ -168,8 +165,7 @@ class FamilyRecipe:
     nef_big_second: bool = False
 
 
-@dataclass(frozen=True)
-class RealizedFamily:
+class RealizedFamily(NamedTuple):
     middle: ring.VarietyModel          # Y (equals model without a pencil)
     model: ring.VarietyModel           # X
     pencil: Optional[ring.DivisorClass]  # L on Y

@@ -8,9 +8,8 @@ general point through the surface table in dp_surface_epsilon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import catalog, ring
 from .errors import (
@@ -18,11 +17,10 @@ from .errors import (
     InconsistentModelError,
     UnsupportedDimensionError,
 )
-from .parser import FamilyId, parse_family_id
+from .parser import FamilyId, _Value, parse_family_id
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(_Value):
     """A decomposition -K = D1 + D2 into nonzero effective divisor classes.
 
     Freeness of the two linear systems is asserted by the caller; the
@@ -30,32 +28,29 @@ class Splitting:
     it is declared nef and big.
     """
 
-    d1: ring.DivisorClass
-    d2: ring.DivisorClass
-    free1: bool = True
-    free2: bool = True
-    nef_big_second: bool = False
+    __slots__ = ("d1", "d2", "free1", "free2", "nef_big_second")
 
-    def __post_init__(self):
-        model = self.d1.model
-        if self.d2.model is not model:
+    def __init__(self, d1: ring.DivisorClass, d2: ring.DivisorClass,
+                 free1: bool = True, free2: bool = True, nef_big_second: bool = False):
+        if d2.model is not d1.model:
             raise GeometryError("splitting parts live on different models")
-        if self.d1 + self.d2 != model.anticanonical:
+        if d1 + d2 != d1.model.anticanonical:
             raise GeometryError("splitting does not sum to the anticanonical class")
-        if self.d1.is_zero or self.d2.is_zero:
+        if d1.is_zero or d2.is_zero:
             raise GeometryError("splitting parts must be nonzero")
+        for name, value in zip(self.__slots__, (d1, d2, free1, free2, nef_big_second)):
+            object.__setattr__(self, name, value)
 
     @property
     def model(self) -> ring.VarietyModel:
         return self.d1.model
 
 
-@dataclass(frozen=True)
-class ClassificationOutcome:
+class ClassificationOutcome(NamedTuple):
     pencil_side: str  # 'none' | 'first' | 'second'
     fiber_degree: Optional[int]
     epsilon: Fraction
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
 
 def dp_surface_epsilon(degree: int) -> Fraction:
@@ -121,8 +116,7 @@ def classify_splitting(s: Splitting, ell_hint: Optional[int] = None) -> Classifi
     return ClassificationOutcome(side, d, eps, (f"pencil on {side} part", f"fiber degree {d}"))
 
 
-@dataclass(frozen=True)
-class EpsilonResult:
+class EpsilonResult(NamedTuple):
     family: FamilyId
     status: str  # 'known' | 'open'
     epsilon: Optional[Fraction]
@@ -130,13 +124,7 @@ class EpsilonResult:
 
 
 def _splitting_of(real: catalog.RealizedFamily) -> Splitting:
-    return Splitting(
-        real.d1,
-        real.d2,
-        free1=real.free[0],
-        free2=real.free[1],
-        nef_big_second=real.nef_big_second,
-    )
+    return Splitting(real.d1, real.d2, *real.free, real.nef_big_second)
 
 
 def classify_family(
@@ -163,8 +151,7 @@ def epsilon_of_family(family: FamilyId | str) -> EpsilonResult:
     return EpsilonResult(rec.id, rec.eps_status, rec.epsilon, recomputed)
 
 
-@dataclass(frozen=True)
-class GeneralBound:
+class GeneralBound(NamedTuple):
     status: str  # 'exact' | 'lower_bound'
     value: Fraction
     conjectural: bool
@@ -211,8 +198,7 @@ def families_with_dp_fibration(d: int) -> frozenset[FamilyId]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     section: str
     name: str
     expected: object
@@ -227,8 +213,7 @@ class Check:
         return f"CHECK {self.name} expected={self.expected} actual={self.actual} {verdict}"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple[Check, ...]
 
     @property

@@ -22,7 +22,6 @@ names each constructor's parameters and the kind of value each takes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -33,43 +32,66 @@ from .errors import ParseError
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
+class _Value:
+    """An immutable value whose fields are its ``__slots__``, given in order to
+    ``__init__`` unless the subclass defines its own.  Two values are equal,
+    and hash alike, when of one type with equal fields: ``Add(a, b) != Sub(a, b)``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # compiled once per class, as collections.namedtuple compiles its __new__:
+        # a loop over the fields makes building a node twice as slow
+        if "__init__" not in vars(cls):
+            body = "".join(f"\n _set(self, {n!r}, {n})" for n in cls.__slots__)
+            scope = {"_set": object.__setattr__}
+            exec(f"def __init__(self, {', '.join(cls.__slots__)}):{body}", scope)
+            cls.__init__ = scope["__init__"]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction  # always >= 0; negatives appear as Neg(Num(...))
+class Sym(_Value):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "ClassExpr"
+class Num(_Value):
+    __slots__ = ("value",)  # a Fraction, always >= 0; negatives appear as Neg(Num(...))
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "ClassExpr"
-    right: "ClassExpr"
+class Neg(_Value):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "ClassExpr"
-    right: "ClassExpr"
+class Add(_Value):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "ClassExpr"
-    right: "ClassExpr"
+class Sub(_Value):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "ClassExpr"
-    exp: int
+class Mul(_Value):
+    __slots__ = ("left", "right")
+
+
+class Pow(_Value):
+    __slots__ = ("base", "exp")  # exp is an int
 
 
 ClassExpr = Union[Sym, Num, Neg, Add, Sub, Mul, Pow]
@@ -330,17 +352,15 @@ def parse_family_id(text: str) -> FamilyId:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Call:
-    """A recipe constructor applied to its arguments, in signature order.
+class Call(_Value):
+    """A recipe constructor ``name`` applied to ``args``, in signature order.
 
     Each argument is a nested Call, an int, a class expression, a tuple of
     class expressions or a tuple of (basis name, int) degree pairs; the
     arguments of ``prod`` are its factors.
     """
 
-    name: str
-    args: tuple
+    __slots__ = ("name", "args")
 
 
 # constructor -> its parameters as (keyword, or None if positional; kind).

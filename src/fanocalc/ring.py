@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -47,19 +46,19 @@ def _exact(x: Rational) -> Rational:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(pmod._Value):
     """Exact-rational coefficient vector over the owning model's basis."""
 
-    model: "VarietyModel"
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("model", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != len(self.model.basis):
+    def __init__(self, model: "VarietyModel", coeffs: tuple[Fraction, ...]):
+        if len(coeffs) != len(model.basis):
             raise GeometryError(
-                f"coefficient vector of length {len(self.coeffs)} does not match "
-                f"basis of size {len(self.model.basis)}"
+                f"coefficient vector of length {len(coeffs)} does not match "
+                f"basis of size {len(model.basis)}"
             )
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def _check_sibling(self, other: "DivisorClass") -> None:
         if not isinstance(other, DivisorClass):
@@ -107,15 +106,13 @@ class DivisorClass:
         return "".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
+class IntersectionForm(pmod._Value):
     """Sparse symmetric n-linear form on basis indices.
 
     Entries, ints where integral, are keyed by sorted index tuples; unlisted ones are zero.
     """
 
-    dimension: int
-    entries: Mapping[tuple[int, ...], Rational]
+    __slots__ = ("dimension", "entries")
 
     def value(self, indices: Iterable[int]) -> Fraction:
         key = tuple(sorted(indices))

@@ -69,7 +69,7 @@ class TestPencilCheck:
 
     def test_requires_integral_class(self):
         m = make_projective_space(3)
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="requires an integral class"):
             pencil_check(m, m.divisor("H") * Fraction(1, 2))
 
 
@@ -125,7 +125,7 @@ class TestClassifySplitting:
     def test_requires_freeness(self):
         real, _ = _splitting("3.2")
         s = Splitting(real.d1, real.d2, free1=False)
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="needs a free splitting"):
             classify_splitting(s)
 
     def test_both_pencils_rejected(self):
@@ -145,8 +145,18 @@ class TestClassifySplitting:
 
     def test_splitting_must_sum_to_anticanonical(self):
         m = make_projective_space(3)
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="does not sum to the anticanonical class"):
             Splitting(m.divisor("H"), m.divisor("H"))
+
+    @pytest.mark.parametrize("other,d1,message", [
+        (True, "H", "parts live on different models"),
+        (False, "0", "parts must be nonzero"),
+    ], ids=["models", "zero"])
+    def test_invalid_parts_rejected(self, other, d1, message):
+        m = make_projective_space(3)
+        n = make_projective_space(3) if other else m
+        with pytest.raises(GeometryError, match=message):
+            Splitting(m.divisor(d1), n.divisor("4*H") - n.divisor(d1))
 
 
 class TestEpsilonOfFamily:

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 
@@ -283,7 +282,7 @@ class TestVerify:
 
     def test_bad_triple_is_a_fail_line(self, capsys, monkeypatch):
         fid = parse_family_id("3.1")
-        bad = dataclasses.replace(catalog.RECIPES[fid], triple=("H1", "H2", "H2"))
+        bad = catalog.RECIPES[fid]._replace(triple=("H1", "H2", "H2"))
         monkeypatch.setitem(catalog.RECIPES, fid, bad)
         catalog.realize_recipe.cache_clear()
         try:

@@ -5,10 +5,16 @@ module of the package is parsed and checked for a float literal, any use of
 the name ``float``, and true division ``/``, which turns two ints into a
 float.  Exact division is written ``Fraction(a, b)``.
 
+No ``dataclasses`` either: importing it imports ``inspect``, and with the
+classes it builds it cost about a quarter of every ``fanocalc`` call's
+start.  The same walk rejects both forms of its import.
+
 The package binds only its modules and ``parse_family_id``.
 """
 
 import ast
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -19,8 +25,9 @@ import fanocalc
 MODULES = sorted(Path(fanocalc.__file__).parent.glob("*.py"))
 
 
-def inexact(source):
-    """(line, what) for each construct in ``source`` that can make a float."""
+def flagged(source):
+    """(line, what) for each construct in ``source`` that can make a float,
+    and each import of ``dataclasses``."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             yield node.lineno, f"float literal {node.value!r}"
@@ -28,16 +35,33 @@ def inexact(source):
             yield node.lineno, "name float"
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
             yield node.lineno, "true division"
+        elif isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names):
+            yield node.lineno, "import dataclasses"
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            yield node.lineno, "from dataclasses import"
 
 
 def test_lint_sees_each_construct():
-    source = "g = (t + 2) / 2\ng /= 2\nx = 0.5\ny = float(g)\nz = Fraction(t + 2, 2) // 1\n"
-    assert sorted(line for line, _ in inexact(source)) == [1, 2, 3, 4]
+    source = (
+        "g = (t + 2) / 2\ng /= 2\nx = 0.5\ny = float(g)\nz = Fraction(t + 2, 2) // 1\n"
+        "import os, dataclasses\nfrom dataclasses import dataclass\nfrom typing import NamedTuple\n"
+    )
+    assert sorted(line for line, _ in flagged(source)) == [1, 2, 3, 4, 6, 7]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_float(path):
-    assert list(inexact(path.read_text())) == []
+    assert list(flagged(path.read_text())) == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S: no site module, so nothing but fanocalc.cli can have imported them
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import fanocalc.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    src = str(Path(fanocalc.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_package_binds_only_its_modules():

@@ -56,6 +56,16 @@ class TestClassExpr:
     def test_left_associativity(self):
         assert parse_class_expr("A-B-C") == Sub(Sub(Sym("A"), Sym("B")), Sym("C"))
 
+    def test_equality_includes_the_node_type(self):
+        assert Add(Sym("A"), Sym("B")) != Sub(Sym("A"), Sym("B"))
+        assert Mul(Sym("A"), Sym("B")) != Add(Sym("A"), Sym("B"))
+        assert Neg(Sym("A")) != Sym("A")
+
+    def test_equal_trees_hash_equal(self):
+        a, b = parse_class_expr("(2L-E)^3+H*E"), parse_class_expr("(2L-E)^3+H*E")
+        assert a == b and a is not b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+
 
 class TestErrors:
     def test_error_carries_offset(self):
@@ -133,6 +143,17 @@ class TestRecipe:
         with pytest.raises(ParseError) as exc:
             parse_recipe("blowup_point(P(3), count=1, count=2)")
         assert exc.value.offset == 0
+
+    # a class expression is not a tuple or a list, so it binds to neither kind
+    @pytest.mark.parametrize("text,message", [
+        ("blowup_curve(P(3), genus=0, degrees=H)",
+         "blowup_curve: degrees must be a {name: int, ...} mapping"),
+        ("bundle(P(1), summands=H)", "bundle: summands must be a [class, ...] list"),
+    ], ids=["degrees", "summands"])
+    def test_argument_of_another_kind(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_recipe(text)
+        assert (exc.value.message, exc.value.offset) == (message, 0)
 
 
 # a literal over the interpreter's str -> int digit limit (4300 by default)

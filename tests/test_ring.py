@@ -94,7 +94,7 @@ class TestDelPezzoThreefold:
 
     @pytest.mark.parametrize("bad", [0, 8])
     def test_range(self, bad):
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match=f"no del Pezzo threefold of degree {bad}"):
             make_del_pezzo_threefold(bad)
 
 
@@ -114,7 +114,7 @@ class TestProduct:
 
     def test_repeated_basis_name_rejected(self):
         # the inner product's H1, H2 meet the outer renaming H, H -> H2, H3
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="basis names not unique"):
             make_product([make_product([P(1), P(1)]), P(1), P(1)])
 
     def test_aliases_dropped_on_collision(self):
@@ -177,10 +177,10 @@ class TestBlowup:
 
     def test_basis_size_is_bounded(self):
         assert len(blowup_points(P(3), ring.MAX_BASIS - 1).basis) == ring.MAX_BASIS
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="basis classes, over 64"):
             blowup_points(P(3), 10 ** 8)
         # nested calls cannot get round the bound
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="81 basis classes, over 64"):
             model_from_recipe("blowup_point(blowup_point(P(3), count=40), count=40)")
 
     def test_curve_blowup_line(self):
@@ -191,7 +191,7 @@ class TestBlowup:
         assert m.evaluate("H^2*E") == 0
         # a class named twice, directly or through an alias, is not a degree map
         for degrees in ((("H", 1), ("H", 2)), (("H", 1), ("L", 2))):
-            with pytest.raises(GeometryError):
+            with pytest.raises(GeometryError, match="degree against H given twice"):
                 make_blowup(P(3), 0, degrees)
         # a curve needs a genus >= 0; without degrees the center is a point
         for genus, degrees in ((-1, {"H": 1}), (None, {"H": 1}), (0, None)):
@@ -275,7 +275,7 @@ class TestDivisorIn:
         (P(4), "-H"), (make_product([P(2), P(2)]), "H1-H2"),
     ], ids=["negative", "trivial_against_reference"])
     def test_non_positive_class_rejected(self, ambient, text):
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="non-positive top self-intersection"):
             make_divisor_in(ambient, ambient.divisor(text))
 
     def test_requires_fourfold(self):
@@ -303,6 +303,11 @@ class TestDivisorClassArithmetic:
         b = P(2).divisor("H")
         with pytest.raises(ForeignClassError):
             a + b
+
+    @pytest.mark.parametrize("coeffs", [(), (1, 0)], ids=["short", "long"])
+    def test_coefficient_vector_must_match_basis(self, coeffs):
+        with pytest.raises(GeometryError, match=f"length {len(coeffs)} does not match basis of size 1"):
+            DivisorClass(P(3), tuple(Fraction(c) for c in coeffs))
 
     def test_str(self):
         m = blowup_points(P(3), 2)
