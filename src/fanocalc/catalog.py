@@ -13,18 +13,13 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from . import ring
-from .errors import GeometryError, NoRecipeError, UnknownFamilyError
+from .errors import GeometryError, NoRecipeError, UnknownFamilyError, UnsupportedDimensionError
 from .parser import FamilyId, parse_family_id
 
 DATA_ENV_VAR = "FANOCALC_DATA"
-
-_TSV_COLUMNS = [
-    "id", "rho", "index", "epsilon", "eps_status", "dp_degrees",
-    "non_bpf", "clubsuit", "ci_center", "ell", "description",
-]
 
 
 class FanoFamilyRecord(NamedTuple):
@@ -41,18 +36,10 @@ class FanoFamilyRecord(NamedTuple):
     description: str
 
 
-def _parse_opt_int(text: str) -> Optional[int]:
-    return None if text == "?" else int(text)
-
-
 def _parse_bool(text: str) -> bool:
     if text not in ("true", "false"):
         raise ValueError(f"bad boolean field {text!r}")
     return text == "true"
-
-
-def _parse_opt_bool(text: str) -> Optional[bool]:
-    return None if text == "?" else _parse_bool(text)
 
 
 def _parse_epsilon(text: str) -> Fraction:
@@ -62,34 +49,39 @@ def _parse_epsilon(text: str) -> Fraction:
     return Fraction(*map(int, parts))
 
 
+def _opt(parse):
+    """``parse`` for a cell that may also be '?', which reads as None."""
+    return lambda text: None if text == "?" else parse(text)
+
+
+# the TSV columns, in header and FanoFamilyRecord field order, each with its cell parser
+_COLUMNS = {
+    "id": parse_family_id,
+    "rho": int,
+    "index": _opt(int),
+    "epsilon": _opt(_parse_epsilon),
+    "eps_status": str,
+    "dp_degrees": lambda text: frozenset(() if text == "-" else map(int, text.split(","))),
+    "non_bpf": _parse_bool,
+    "clubsuit": _opt(_parse_bool),
+    "ci_center": _opt(_parse_bool),
+    "ell": _opt(int),
+    "description": str,
+}
+
+
 def _parse_record(line: str) -> FanoFamilyRecord:
-    fields = line.rstrip("\n").split("\t")
-    if len(fields) != len(_TSV_COLUMNS):
+    cells = line.rstrip("\n").split("\t")
+    if len(cells) != len(_COLUMNS):
         raise ValueError(f"bad catalog row: {line!r}")
-    row = dict(zip(_TSV_COLUMNS, fields))
-    fid = parse_family_id(row["id"])
-    if int(row["rho"]) != fid.rho:
-        raise ValueError(f"row {fid}: rho {row['rho']!r} does not fit the id")
-    eps = None if row["epsilon"] == "?" else _parse_epsilon(row["epsilon"])
-    status = row["eps_status"]
-    if (status, eps is None) not in (("known", False), ("open", True)):  # known: number, open: '?'
-        raise ValueError(f"row {fid}: status {status!r} does not fit epsilon {row['epsilon']!r}")
-    dp = frozenset() if row["dp_degrees"] == "-" else frozenset(
-        int(d) for d in row["dp_degrees"].split(",")
-    )
-    return FanoFamilyRecord(
-        id=fid,
-        rho=fid.rho,
-        index=_parse_opt_int(row["index"]),
-        epsilon=eps,
-        eps_status=status,
-        dp_degrees=dp,
-        non_bpf=_parse_bool(row["non_bpf"]),
-        clubsuit=_parse_opt_bool(row["clubsuit"]),
-        ci_center=_parse_opt_bool(row["ci_center"]),
-        ell=_parse_opt_int(row["ell"]),
-        description=row["description"],
-    )
+    rec = FanoFamilyRecord(*(parse(text) for parse, text in zip(_COLUMNS.values(), cells)))
+    if rec.rho != rec.id.rho:
+        raise ValueError(f"row {rec.id}: rho {cells[1]!r} does not fit the id")
+    if (rec.eps_status, rec.epsilon is None) not in (("known", False), ("open", True)):
+        raise ValueError(  # known: a number, open: '?'
+            f"row {rec.id}: status {rec.eps_status!r} does not fit epsilon {cells[3]!r}"
+        )
+    return rec
 
 
 def data_path() -> str:
@@ -103,7 +95,7 @@ def data_path() -> str:
 def _load(path: str) -> dict[FamilyId, FanoFamilyRecord]:
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0].split("\t") != _TSV_COLUMNS:
+    if not lines or lines[0].split("\t") != list(_COLUMNS):
         raise ValueError(f"catalog file {path} has an unexpected header")
     by_id: dict[FamilyId, FanoFamilyRecord] = {}
     for rec in sorted((_parse_record(line) for line in lines[1:] if line.strip()),
@@ -129,17 +121,13 @@ def get_family(family: FamilyId | str) -> FanoFamilyRecord:
 def list_families(
     epsilon: Optional[Fraction] = None,
     rho: Optional[int] = None,
-    min_rho: Optional[int] = None,
     dp_degree: Optional[int] = None,
-    predicate: Optional[Callable[[FanoFamilyRecord], bool]] = None,
 ) -> list[FanoFamilyRecord]:
     return [
         rec for rec in load_catalog().values()
         if (epsilon is None or rec.epsilon == epsilon)
         and (rho is None or rec.rho == rho)
-        and (min_rho is None or rec.rho >= min_rho)
         and (dp_degree is None or dp_degree in rec.dp_degrees)
-        and (predicate is None or predicate(rec))
     ]
 
 
@@ -254,16 +242,21 @@ RECIPES: dict[FamilyId, FamilyRecipe] = {
 def ci_curve_center(
     middle: ring.VarietyModel, pencil: ring.DivisorClass
 ) -> tuple[int, dict[str, int]]:
-    """Genus and basis degrees of the complete intersection of two members of |L|."""
+    """Genus and basis degrees of the complete intersection C of two members of |L|."""
+    if middle.dimension != 3:
+        raise UnsupportedDimensionError("a complete-intersection curve needs a threefold")
+    # the form with L in two slots keys each B_i.L.L = B_i.C by (i,); divisor() rejects a foreign L
+    v = ring._sparse(middle.divisor(pencil).coeffs)
+    rest = ring._contract(middle.form.entries, [v, v])
+    deg = [rest.get((i,), 0) for i in range(len(middle.basis))]
     degrees = {}
-    for name in middle.basis:
-        d = ring.intersection_number(middle, [middle.basis_class(name), pencil, pencil])
+    for name, d in zip(middle.basis, deg):
         if d.denominator != 1:
             raise GeometryError(f"non-integral curve degree {d} against {name}")
         degrees[name] = int(d)
-    canonical = -1 * middle.anticanonical
-    two_g_minus_2 = ring.intersection_number(
-        middle, [canonical + 2 * pencil, pencil, pencil]
+    # adjunction: 2g - 2 = (K + 2L).C
+    two_g_minus_2 = sum(
+        (2 * l - a) * d for l, a, d in zip(pencil.coeffs, middle.anticanonical.coeffs, deg)
     )
     genus = Fraction(two_g_minus_2 + 2, 2)
     if genus.denominator != 1 or genus < 0:
@@ -280,28 +273,15 @@ def realize_recipe(family: FamilyId) -> RealizedFamily:
     middle = ring.model_from_recipe(rec.middle)
     if rec.pencil is None:
         model, pencil, center = middle, None, None
-        d1 = model.divisor(rec.splitting[0])
-        d2 = model.divisor(rec.splitting[1])
+        d1, d2 = map(model.divisor, rec.splitting)
     else:
         # complete-intersection blow-up: D1 = f*L - E, D2 = -K - D1
         pencil = middle.divisor(rec.pencil)
         center = ci_curve_center(middle, pencil)
         model = ring.make_blowup(middle, *center)
-        e = model.basis_class(model.basis[-1])
-        pull = ring.DivisorClass(model, tuple(pencil.coeffs) + (Fraction(0),))
-        d1 = pull - e
+        d1 = ring.DivisorClass(model, pencil.coeffs + (-1,))
         d2 = model.anticanonical - d1
-    if d1 + d2 != model.anticanonical:
-        raise GeometryError(f"splitting of {family} does not sum to the anticanonical class")
     triple = None if rec.triple is None else tuple(model.divisor(t) for t in rec.triple)
     return RealizedFamily(
-        middle=middle,
-        model=model,
-        pencil=pencil,
-        center=center,
-        d1=d1,
-        d2=d2,
-        free=rec.free,
-        nef_big_second=rec.nef_big_second,
-        triple=triple,
+        middle, model, pencil, center, d1, d2, rec.free, rec.nef_big_second, triple
     )

@@ -287,7 +287,8 @@ def verify_paper() -> VerificationReport:
     # partition of the rank >= 2 families by Seshadri constant (1, 4/3, 3/2 from _DP_SETS)
     buckets = {dp_surface_epsilon(d): ids for d, ids in _DP_SETS.items()}
     buckets[Fraction(3)] = ("2.28", "2.30", "2.33")
-    high = catalog.list_families(min_rho=2)
+    records = catalog.load_catalog().values()
+    high = [r for r in records if r.rho >= 2]
     claimed = set()
     for eps, ids in sorted(buckets.items()):
         expected_ids = frozenset(parse_family_id(t) for t in ids)
@@ -311,12 +312,12 @@ def verify_paper() -> VerificationReport:
             Check("dp", f"dp-degree-{d}-families",
                   _fmt_ids(expected_ids), _fmt_ids(actual_ids))
         )
-    non_bpf = frozenset(r.id for r in catalog.list_families(predicate=lambda r: r.non_bpf))
+    non_bpf = [r for r in records if r.non_bpf]
     eps_one = frozenset(r.id for r in catalog.list_families(epsilon=Fraction(1)))
     checks.append(
-        Check("dp", "base-points-iff-epsilon-1", _fmt_ids(eps_one), _fmt_ids(non_bpf))
+        Check("dp", "base-points-iff-epsilon-1", _fmt_ids(eps_one), _fmt_ids(r.id for r in non_bpf))
     )
-    for rec in catalog.list_families(predicate=lambda r: r.non_bpf):
+    for rec in non_bpf:
         checks.append(
             Check("dp", f"base-points-{rec.id}-no-low-fibration",
                   "-", ",".join(str(d) for d in sorted(rec.dp_degrees & {2, 3})) or "-")

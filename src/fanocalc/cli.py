@@ -52,20 +52,12 @@ def cmd_deg(args) -> int:
 
 
 def _record_payload(rec: catalog.FanoFamilyRecord, result) -> dict:
-    return {
-        "id": str(rec.id),
-        "rho": rec.rho,
-        "index": rec.index,
-        "epsilon": _fmt_epsilon(rec),
-        "eps_status": rec.eps_status,
-        "dp_degrees": sorted(rec.dp_degrees),
-        "non_bpf": rec.non_bpf,
-        "clubsuit": rec.clubsuit,
-        "ci_center": rec.ci_center,
-        "ell": rec.ell,
-        "recomputed": result.recomputed,
-        "description": rec.description,
-    }
+    payload = rec._replace(
+        id=str(rec.id), epsilon=_fmt_epsilon(rec), dp_degrees=sorted(rec.dp_degrees)
+    )._asdict()
+    payload["recomputed"] = result.recomputed
+    payload["description"] = payload.pop("description")  # stays the last key
+    return payload
 
 
 def cmd_family(args) -> int:
@@ -205,10 +197,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FanoCalcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (FanoCalcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

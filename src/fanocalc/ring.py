@@ -32,10 +32,6 @@ from .errors import (
 Rational = Union[int, Fraction]
 
 
-def _frac(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def _exact(x: Rational) -> Rational:
     """An integral value as an int, anything else unchanged."""
     return x.numerator if x.denominator == 1 else x
@@ -47,18 +43,19 @@ def _exact(x: Rational) -> Rational:
 
 
 class DivisorClass(pmod._Value):
-    """Exact-rational coefficient vector over the owning model's basis."""
+    """Exact coefficient vector over the owning model's basis, ints where integral."""
 
     __slots__ = ("model", "coeffs")
 
-    def __init__(self, model: "VarietyModel", coeffs: tuple[Fraction, ...]):
+    def __init__(self, model: "VarietyModel", coeffs: Sequence[Rational]):
         if len(coeffs) != len(model.basis):
             raise GeometryError(
                 f"coefficient vector of length {len(coeffs)} does not match "
                 f"basis of size {len(model.basis)}"
             )
         object.__setattr__(self, "model", model)
-        object.__setattr__(self, "coeffs", coeffs)
+        # from a list: tuple(<generator>) resizes, leaving tuples in free lists until a full GC
+        object.__setattr__(self, "coeffs", tuple([_exact(c) for c in coeffs]))
 
     def _check_sibling(self, other: "DivisorClass") -> None:
         if not isinstance(other, DivisorClass):
@@ -68,18 +65,17 @@ class DivisorClass(pmod._Value):
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._check_sibling(other)
-        return DivisorClass(self.model, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return DivisorClass(self.model, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         self._check_sibling(other)
-        return DivisorClass(self.model, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return DivisorClass(self.model, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.model, tuple(-a for a in self.coeffs))
+        return DivisorClass(self.model, [-a for a in self.coeffs])
 
     def __mul__(self, scalar: Rational) -> "DivisorClass":
-        s = _frac(scalar)
-        return DivisorClass(self.model, tuple(s * a for a in self.coeffs))
+        return DivisorClass(self.model, [scalar * a for a in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -153,9 +149,8 @@ class VarietyModel:
         self.basis = tuple(basis)
         self.form = IntersectionForm(dimension, _freeze_entries(entries))
         self.aliases = dict(aliases or {})
-        # from lists: tuple(<generator>) resizes, leaving tuples in free lists until a full GC
-        self.anticanonical = DivisorClass(self, tuple([_frac(c) for c in anticanonical]))
-        self.ample_ref = DivisorClass(self, tuple([_frac(c) for c in ample_ref]))
+        self.anticanonical = DivisorClass(self, anticanonical)
+        self.ample_ref = DivisorClass(self, ample_ref)
         top = intersection_number(self, [self.ample_ref] * dimension)
         if top <= 0:
             raise GeometryError(
@@ -172,12 +167,8 @@ class VarietyModel:
             return self.basis.index(target)
         raise UnknownSymbolError(f"unknown symbol {symbol!r} on model {self.name}")
 
-    def basis_class(self, symbol: str) -> DivisorClass:
-        i = self.basis_index(symbol)
-        return DivisorClass(self, tuple(Fraction(int(j == i)) for j in range(len(self.basis))))
-
     def zero(self) -> DivisorClass:
-        return DivisorClass(self, (Fraction(0),) * len(self.basis))
+        return DivisorClass(self, (0,) * len(self.basis))
 
     def divisor(self, source: Union[str, pmod.ClassExpr, DivisorClass]) -> DivisorClass:
         """Linear class expression (or literal 0) as a divisor class."""
@@ -186,13 +177,13 @@ class VarietyModel:
                 raise ForeignClassError("divisor class belongs to a different model")
             return source
         expr = pmod.parse_class_expr(source) if isinstance(source, str) else source
-        coeffs = [Fraction(0)] * len(self.basis)
+        coeffs = [0] * len(self.basis)
         for c, factors in _walk(self, expr):
             if len(factors) != 1:
                 raise DegreeError(f"class expression has a term of degree {len(factors)}, not 1")
             for i, x in factors[0].items():
                 coeffs[i] += c * x
-        return DivisorClass(self, tuple(coeffs))
+        return DivisorClass(self, coeffs)
 
     # -- evaluation conveniences ------------------------------------------
 
@@ -209,7 +200,7 @@ class VarietyModel:
 
 
 def _sparse(coeffs: Sequence[Rational]) -> dict[int, Rational]:
-    return {i: _exact(c) for i, c in enumerate(coeffs) if c}
+    return {i: c for i, c in enumerate(coeffs) if c}
 
 
 def _contract(

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,12 @@ from fanocalc.catalog import (
     load_catalog,
     realize_recipe,
 )
-from fanocalc.errors import NoRecipeError, UnknownFamilyError
+from fanocalc.errors import (
+    ForeignClassError,
+    NoRecipeError,
+    UnknownFamilyError,
+    UnsupportedDimensionError,
+)
 from fanocalc.parser import parse_family_id
 
 # freeze the data file: any edit must be deliberate and reviewed
@@ -77,7 +83,7 @@ class TestRecords:
         assert indices == [1] * 10 + [2] * 5 + [3, 4]
 
     def test_index_two_high_rank(self):
-        high = [r for r in list_families(min_rho=2) if r.index == 2]
+        high = [r for r in list_families() if r.rho >= 2 and r.index == 2]
         assert {str(r.id) for r in high} == {"2.32", "2.35", "3.27"}
 
     def test_non_bpf_set(self):
@@ -91,8 +97,8 @@ class TestRecords:
         }
 
     def test_clubsuit_unknown_never_set_for_high_rank(self):
-        for rec in list_families(min_rho=2):
-            assert rec.clubsuit is not None
+        for rec in list_families():
+            assert rec.rho < 2 or rec.clubsuit is not None
 
     def test_ci_center_subset_of_clubsuit(self):
         for rec in list_families():
@@ -117,34 +123,42 @@ def test_env_override_loads_alternate_file(tmp_path, monkeypatch):
 def test_bad_header_rejected(tmp_path):
     bad = tmp_path / "families.tsv"
     bad.write_text("id\trho\n1.1\t1\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unexpected header"):
         load_catalog(str(bad))
+
+
+def test_columns_follow_the_record_fields():
+    assert list(catalog._COLUMNS) == list(catalog.FanoFamilyRecord._fields)
 
 
 # one rule per row: a known epsilon is a number, an open one is '?', the status
 # is one of the two, non_bpf is a boolean like every other flag, rho is the
 # id's rank, epsilon is p or p/q with p, q >= 1, and no id comes twice
-@pytest.mark.parametrize("row, tampered", [
-    ("1.1\t1\t1\t?\topen\t", "1.1\t1\t1\t?\tknown\t"),
-    ("1.4\t1\t1\t2\tknown\t", "1.4\t1\t1\t2\topen\t"),
-    ("1.4\t1\t1\t2\tknown\t", "1.4\t1\t1\t2\tmaybe\t"),
-    ("1.4\t1\t1\t2\tknown\t-\tfalse\t", "1.4\t1\t1\t2\tknown\t-\tyes\t"),
-    ("\n3.2\t3\t", "\n3.2\t2\t"),
-    ("1.4\t1\t1\t2\tknown\t", "1.4\t1\t1\t2e0\tknown\t"),
-    ("3.2\t3\t1\t3/2\t", "3.2\t3\t1\t3/0\t"),
-    ("1.4\t1\t1\t2\tknown\t", "1.4\t1\t1\t-2\tknown\t"),
-    ("\n1.5\t", "\n1.4\t"),
+@pytest.mark.parametrize("row, tampered, message", [
+    ("1.1\t1\t1\t?\topen\t", "1.1\t1\t1\t?\tknown\t",
+     "row 1.1: status 'known' does not fit epsilon '?'"),
+    ("1.4\t1\t1\t2\tknown\t", "1.4\t1\t1\t2\topen\t",
+     "row 1.4: status 'open' does not fit epsilon '2'"),
+    ("1.4\t1\t1\t2\tknown\t", "1.4\t1\t1\t2\tmaybe\t",
+     "row 1.4: status 'maybe' does not fit epsilon '2'"),
+    ("1.4\t1\t1\t2\tknown\t-\tfalse\t", "1.4\t1\t1\t2\tknown\t-\tyes\t",
+     "bad boolean field 'yes'"),
+    ("\n3.2\t3\t", "\n3.2\t2\t", "row 3.2: rho '2' does not fit the id"),
+    ("1.4\t1\t1\t2\tknown\t", "1.4\t1\t1\t2e0\tknown\t", "bad epsilon field '2e0'"),
+    ("3.2\t3\t1\t3/2\t", "3.2\t3\t1\t3/0\t", "bad epsilon field '3/0'"),
+    ("1.4\t1\t1\t2\tknown\t", "1.4\t1\t1\t-2\tknown\t", "bad epsilon field '-2'"),
+    ("\n1.5\t", "\n1.4\t", "duplicate catalog id 1.4"),
 ], ids=["known-without-number", "open-with-number", "unknown-status", "non-boolean-non-bpf",
         "rho-off-the-id", "epsilon-exponent", "epsilon-zero-denominator", "epsilon-negative",
         "duplicate-id"])
-def test_inconsistent_row_rejected(capsys, tmp_path, monkeypatch, row, tampered):
+def test_inconsistent_row_rejected(capsys, tmp_path, monkeypatch, row, tampered, message):
     with open(catalog.data_path(), encoding="utf-8") as fh:
         text = fh.read()
     assert text.count(row) == 1
     alt = tmp_path / "families.tsv"
     alt.write_text(text.replace(row, tampered), encoding="utf-8")
     monkeypatch.setenv(catalog.DATA_ENV_VAR, str(alt))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_catalog()
     assert main(["family", "1.1"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
@@ -193,10 +207,33 @@ class TestRecipes:
         assert real.model.form.entries == explicit.form.entries
         assert real.middle is real.model and real.center is None
 
+    @pytest.mark.parametrize("fid", [f for f in sorted(RECIPES) if RECIPES[f].pencil], ids=str)
+    def test_ci_center_matches_one_product_per_basis_class(self, fid):
+        # the center from full products: B.L.L for each basis class B, and the
+        # genus from adjunction, 2g - 2 = (K + 2L).L.L
+        real = realize_recipe(fid)
+        y, pencil = real.middle, real.pencil
+        m = len(y.basis)
+        degrees = {
+            name: ring.intersection_number(
+                y, [ring.DivisorClass(y, [int(j == i) for j in range(m)]), pencil, pencil]
+            )
+            for i, name in enumerate(y.basis)
+        }
+        two_g_minus_2 = ring.intersection_number(y, [2 * pencil - y.anticanonical, pencil, pencil])
+        assert ci_curve_center(y, pencil) == (Fraction(two_g_minus_2 + 2, 2), degrees)
+
     def test_ci_center_on_projective_space(self):
         p3 = ring.make_projective_space(3)
         # (3,3) complete intersection curve: degree 9, genus 10
         assert ci_curve_center(p3, p3.divisor("3*H")) == (10, {"H": 9})
+
+    def test_ci_center_needs_a_pencil_on_a_threefold(self):
+        p2, p3 = ring.make_projective_space(2), ring.make_projective_space(3)
+        with pytest.raises(UnsupportedDimensionError, match="needs a threefold"):
+            ci_curve_center(p2, p2.divisor("H"))
+        with pytest.raises(ForeignClassError):
+            ci_curve_center(p3, ring.blowup_points(p3, 1).divisor("H"))
 
     def test_recorded_triples(self):
         for text in ("3.1", "3.3", "3.17", "4.1"):

@@ -332,6 +332,18 @@ class TestExactRepresentation:
         for m in models:
             assert {type(v) for v in m.form.entries.values()} == {int}, m.name
 
+    def test_class_coefficients_are_ints_where_integral(self):
+        m = blowup_points(P(3), 1)
+        for cls, expected in (
+            (m.divisor("2*H-E"), (2, -1)),
+            (m.anticanonical, (4, -2)),
+            (m.zero(), (0, 0)),
+            (DivisorClass(m, (Fraction(2), Fraction(1, 2))), (2, Fraction(1, 2))),
+            (m.divisor("H") * Fraction(1, 2), (Fraction(1, 2), 0)),
+        ):
+            assert cls.coeffs == expected
+            assert [type(c) for c in cls.coeffs] == [type(c) for c in expected], cls
+
     def test_results_are_fractions(self):
         m = blowup_points(P(3), 2)
         h, e = m.divisor("H"), m.divisor("E1")
