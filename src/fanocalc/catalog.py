@@ -105,9 +105,9 @@ def _load(path: str) -> dict[FamilyId, FanoFamilyRecord]:
     return by_id
 
 
-def load_catalog(path: Optional[str] = None) -> dict[FamilyId, FanoFamilyRecord]:
+def load_catalog() -> dict[FamilyId, FanoFamilyRecord]:
     """The family records by id, in id order; cached and shared, so do not modify it."""
-    return _load(path or data_path())
+    return _load(data_path())
 
 
 def get_family(family: FamilyId | str) -> FanoFamilyRecord:
@@ -141,13 +141,13 @@ class FamilyRecipe(NamedTuple):
 
     With a ``pencil``, ``middle`` describes Y and ``pencil`` the class L on
     Y: the center is the complete intersection of two members of |L| and
-    the splitting is (f*L - E, -K - f*L + E).  Otherwise ``middle``
-    describes the threefold itself and ``splitting`` gives the two parts.
+    D1 = f*L - E.  Otherwise ``middle`` describes the threefold itself and
+    ``d1`` names D1.  Either way the splitting is (D1, -K - D1).
     """
 
     middle: str
     pencil: Optional[str] = None
-    splitting: Optional[tuple[str, str]] = None
+    d1: Optional[str] = None
     triple: Optional[tuple[str, str, str]] = None
     free: tuple[bool, bool] = (True, True)
     nef_big_second: bool = False
@@ -169,57 +169,46 @@ RECIPES: dict[FamilyId, FamilyRecipe] = {
     parse_family_id(text): recipe
     for text, recipe in {
         "2.1": FamilyRecipe("dp3(1)", pencil="H", free=(True, False), nef_big_second=True),
-        "2.2": FamilyRecipe(
-            "double_cover(prod(P(1),P(2)), half_branch=H1+2*H2)",
-            splitting=("H1", "H2"),
-        ),
+        "2.2": FamilyRecipe("double_cover(prod(P(1),P(2)), half_branch=H1+2*H2)", d1="H1"),
         "2.3": FamilyRecipe("double_cover(P(3), half_branch=2*H)", pencil="H"),
         "2.4": FamilyRecipe("P(3)", pencil="3*H"),
         "2.5": FamilyRecipe("divisor_in(P(4), 3*H)", pencil="H"),
         "3.1": FamilyRecipe(
             "double_cover(prod(P(1),P(1),P(1)), half_branch=H1+H2+H3)",
-            splitting=("H1", "H2+H3"),
+            d1="H1",
             triple=("H1", "H2", "H3"),
         ),
         "3.2": FamilyRecipe(
             "divisor_in(bundle(prod(P(1),P(1)), summands=[0, -H1-H2, -H1-H2]),"
             " 2*zeta+2*H1+3*H2)",
-            splitting=("H1", "zeta+H1+H2"),
+            d1="H1",
         ),
         "3.3": FamilyRecipe(
             "divisor_in(prod(P(1),P(1),P(2)), H1+H2+2*H3)",
-            splitting=("H1", "H2+H3"),
+            d1="H1",
             triple=("H1", "H2", "H3"),
         ),
         "3.4": FamilyRecipe("double_cover(prod(P(1),P(2)), half_branch=H1+H2)", pencil="H2"),
         "3.5": FamilyRecipe(
-            "blowup_curve(prod(P(1),P(2)), genus=0, degrees={H1:5, H2:2})",
-            splitting=("H1+3*H2-E", "H1"),
+            "blowup_curve(prod(P(1),P(2)), genus=0, degrees={H1:5, H2:2})", d1="H1+3*H2-E"
         ),
         "3.7": FamilyRecipe("divisor_in(prod(P(2),P(2)), H1+H2)", pencil="H1+H2"),
         "3.8": FamilyRecipe(
-            "divisor_in(prod(blowup_point(P(2), count=1), P(2)), H1+2*H2)",
-            splitting=("2*H1-E1", "H2"),
+            "divisor_in(prod(blowup_point(P(2), count=1), P(2)), H1+2*H2)", d1="2*H1-E1"
         ),
         "3.11": FamilyRecipe("blowup_point(P(3), count=1)", pencil="2*L-E"),
         "3.17": FamilyRecipe(
             "divisor_in(prod(P(1),P(1),P(2)), H1+H2+H3)",
-            splitting=("H1", "H2+2*H3"),
+            d1="H1",
             triple=("H1", "H2", "2*H3"),
         ),
-        "3.19": FamilyRecipe(
-            "blowup_point(divisor_in(P(4), 2*H), count=2)",
-            splitting=("H", "2*H-2*E1-2*E2"),
-        ),
+        "3.19": FamilyRecipe("blowup_point(divisor_in(P(4), 2*H), count=2)", d1="H"),
         "3.24": FamilyRecipe("divisor_in(prod(P(2),P(2)), H1+H2)", pencil="H2"),
         "3.26": FamilyRecipe("blowup_point(P(3), count=1)", pencil="L"),
-        "3.31": FamilyRecipe(
-            "bundle(prod(P(1),P(1)), summands=[0, H1+H2])",
-            splitting=("2*zeta", "H1+H2"),
-        ),
+        "3.31": FamilyRecipe("bundle(prod(P(1),P(1)), summands=[0, H1+H2])", d1="2*zeta"),
         "4.1": FamilyRecipe(
             "divisor_in(prod(P(1),P(1),P(1),P(1)), H1+H2+H3+H4)",
-            splitting=("H1", "H2+H3+H4"),
+            d1="H1",
             triple=("H1", "H2", "H3+H4"),
         ),
         "4.4": FamilyRecipe("blowup_point(divisor_in(P(4), 2*H), count=2)", pencil="H-E1-E2"),
@@ -230,9 +219,7 @@ RECIPES: dict[FamilyId, FamilyRecipe] = {
         ),
         "5.1": FamilyRecipe("blowup_point(divisor_in(P(4), 2*H), count=3)", pencil="H-E1-E2-E3"),
         "10.1": FamilyRecipe(
-            "prod(P(1), blowup_point(P(2), count=8))",
-            splitting=("H1", "H1+3*H2-E1-E2-E3-E4-E5-E6-E7-E8"),
-            free=(True, False),
+            "prod(P(1), blowup_point(P(2), count=8))", d1="H1", free=(True, False),
             nef_big_second=True,
         ),
     }.items()
@@ -273,14 +260,14 @@ def realize_recipe(family: FamilyId) -> RealizedFamily:
     middle = ring.model_from_recipe(rec.middle)
     if rec.pencil is None:
         model, pencil, center = middle, None, None
-        d1, d2 = map(model.divisor, rec.splitting)
+        d1 = model.divisor(rec.d1)
     else:
-        # complete-intersection blow-up: D1 = f*L - E, D2 = -K - D1
+        # complete-intersection blow-up: D1 = f*L - E
         pencil = middle.divisor(rec.pencil)
         center = ci_curve_center(middle, pencil)
         model = ring.make_blowup(middle, *center)
         d1 = ring.DivisorClass(model, pencil.coeffs + (-1,))
-        d2 = model.anticanonical - d1
+    d2 = model.anticanonical - d1
     triple = None if rec.triple is None else tuple(model.divisor(t) for t in rec.triple)
     return RealizedFamily(
         middle, model, pencil, center, d1, d2, rec.free, rec.nef_big_second, triple

@@ -175,10 +175,14 @@ def epsilon_general(n: int, r: int) -> GeneralBound:
     return GeneralBound("lower_bound", Fraction(1), True, unconditional)
 
 
+def _ids(*texts: str) -> frozenset[FamilyId]:
+    return frozenset(map(parse_family_id, texts))
+
+
 _DP_SETS = {
-    1: ("2.1", "10.1"),
-    2: ("2.2", "2.3", "9.1"),
-    3: ("2.4", "2.5", "3.2", "8.1"),
+    1: _ids("2.1", "10.1"),
+    2: _ids("2.2", "2.3", "9.1"),
+    3: _ids("2.4", "2.5", "3.2", "8.1"),
 }
 
 
@@ -187,8 +191,7 @@ def families_with_dp_fibration(d: int) -> frozenset[FamilyId]:
     if d not in _DP_SETS:
         raise ValueError(f"only degrees 1..3 are tabulated, got {d}")
     found = frozenset(rec.id for rec in catalog.list_families(dp_degree=d))
-    expected = frozenset(parse_family_id(t) for t in _DP_SETS[d])
-    if found != expected:
+    if found != _DP_SETS[d]:
         raise InconsistentModelError(f"catalog dp-fibration set for degree {d} is off")
     return found
 
@@ -227,10 +230,13 @@ class VerificationReport(NamedTuple):
         return VerificationReport(tuple(c for c in self.checks if c.section == name))
 
 
-_APPENDIX_DEGREES = {
-    "3.4": 4, "3.7": 6, "3.11": 7, "3.24": 8,
-    "3.26": 9, "4.4": 6, "4.9": 8, "5.1": 5,
+_APPENDIX_DEGREES = {  # in id order, the order of the report
+    parse_family_id(text): degree for text, degree in {
+        "3.4": 4, "3.7": 6, "3.11": 7, "3.24": 8,
+        "3.26": 9, "4.4": 6, "4.9": 8, "5.1": 5,
+    }.items()
 }
+_EPSILON_3 = _ids("2.28", "2.30", "2.33")  # rank >= 2; 1, 4/3, 3/2 come from _DP_SETS
 
 VERIFY_SECTIONS = ("appendix", "section4", "splittings", "partition", "dp")
 
@@ -245,53 +251,54 @@ def verify_paper() -> VerificationReport:
     checks: list[Check] = []
 
     # del Pezzo fibration degrees from blow-up recipes, two independent routes
-    for fid_text, expected in sorted(_APPENDIX_DEGREES.items(), key=lambda kv: parse_family_id(kv[0])):
-        real = catalog.realize_recipe(parse_family_id(fid_text))
+    for fid, expected in _APPENDIX_DEGREES.items():
+        real = catalog.realize_recipe(fid)
         via_y = fibration_degree(real.middle, real.pencil)
-        checks.append(Check("appendix", f"appendix-{fid_text}-degree", expected, via_y))
+        checks.append(Check("appendix", f"appendix-{fid}-degree", expected, via_y))
         d = classify_splitting(_splitting_of(real)).fiber_degree
-        checks.append(Check("splittings", f"adjunction-{fid_text}-fiber-degree", expected, d))
+        checks.append(Check("splittings", f"adjunction-{fid}-fiber-degree", expected, d))
 
     # worked splitting computations on non-blow-up models
-    real32 = catalog.realize_recipe(parse_family_id("3.2"))
+    real32 = catalog.realize_recipe(FamilyId(3, 2))
     checks.append(
         Check("section4", "case-3.2-fiber-degree", 3,
               classify_splitting(_splitting_of(real32)).fiber_degree)
     )
-    real38 = catalog.realize_recipe(parse_family_id("3.8"))
+    real38 = catalog.realize_recipe(FamilyId(3, 8))
     checks.append(
         Check("section4", "case-3.8-selfint", 6,
               ring.intersection_number(real38.model, [real38.d1, real38.d1, real38.d2]))
     )
-    real319 = catalog.realize_recipe(parse_family_id("3.19"))
+    real319 = catalog.realize_recipe(FamilyId(3, 19))
     checks.append(
         Check("section4", "case-3.19-selfint", 8,
               ring.intersection_number(real319.model, [real319.d2, real319.d2, real319.d1]))
     )
-    real331 = catalog.realize_recipe(parse_family_id("3.31"))
+    real331 = catalog.realize_recipe(FamilyId(3, 31))
     mk = real331.model.anticanonical
     k3 = ring.intersection_number(real331.model, [mk, mk, mk])
     checks.append(Check("section4", "case-3.31-anticanonical-cube", 52, k3))
     mixed = ring.intersection_number(real331.model, [real331.d1, real331.d2, real331.d2])
     checks.append(Check("section4", "case-3.31-residual", 40, k3 - 3 * mixed))
 
-    # anticanonical triples on the four cover/divisor models
-    for fid_text in ("3.1", "3.3", "3.17", "4.1"):
-        real = catalog.realize_recipe(parse_family_id(fid_text))
+    # anticanonical triples on the cover/divisor models whose recipes name one
+    for fid, recipe in catalog.RECIPES.items():
+        if recipe.triple is None:
+            continue
+        real = catalog.realize_recipe(fid)
         total = real.triple[0] + real.triple[1] + real.triple[2]
         checks.append(
-            Check("splittings", f"triple-{fid_text}-sums-to-anticanonical",
+            Check("splittings", f"triple-{fid}-sums-to-anticanonical",
                   str(real.model.anticanonical), str(total))
         )
 
-    # partition of the rank >= 2 families by Seshadri constant (1, 4/3, 3/2 from _DP_SETS)
+    # partition of the rank >= 2 families by Seshadri constant
     buckets = {dp_surface_epsilon(d): ids for d, ids in _DP_SETS.items()}
-    buckets[Fraction(3)] = ("2.28", "2.30", "2.33")
+    buckets[Fraction(3)] = _EPSILON_3
     records = catalog.load_catalog().values()
     high = [r for r in records if r.rho >= 2]
     claimed = set()
-    for eps, ids in sorted(buckets.items()):
-        expected_ids = frozenset(parse_family_id(t) for t in ids)
+    for eps, expected_ids in sorted(buckets.items()):
         actual_ids = frozenset(r.id for r in high if r.epsilon == eps)
         claimed |= actual_ids
         checks.append(
@@ -305,8 +312,7 @@ def verify_paper() -> VerificationReport:
     )
 
     # tabulated low-degree fibration sets and their structural consequences
-    for d, ids in _DP_SETS.items():
-        expected_ids = frozenset(parse_family_id(t) for t in ids)
+    for d, expected_ids in _DP_SETS.items():
         actual_ids = frozenset(r.id for r in catalog.list_families(dp_degree=d))
         checks.append(
             Check("dp", f"dp-degree-{d}-families",

@@ -1,5 +1,10 @@
 """Command-line front end.
 
+Each ``cmd_*`` computes its answer once and returns ``(exit code, payload,
+text)``: ``payload`` is the JSON-ready answer and ``text`` the same answer
+for a reader.  ``main`` is the one place that writes to stdout: it prints
+``json.dumps(payload)`` under ``--json`` and ``text`` otherwise.
+
 Exit codes: 0 success, 1 domain error (unknown family, bad expression,
 failed verification), 2 usage error (bad flags or malformed filter values).
 """
@@ -41,102 +46,66 @@ def _positive_int_arg(text: str) -> int:
     return value
 
 
-def cmd_deg(args) -> int:
-    model = ring.model_from_recipe(args.recipe)
-    value = model.evaluate(args.expr)
-    if args.json:
-        print(json.dumps({"value": str(value)}))
-    else:
-        print(value)
-    return 0
+def cmd_deg(args) -> tuple[int, dict, str]:
+    value = str(ring.model_from_recipe(args.recipe).evaluate(args.expr))
+    return 0, {"value": value}, value
 
 
-def _record_payload(rec: catalog.FanoFamilyRecord, result) -> dict:
+def cmd_family(args) -> tuple[int, dict, str]:
+    rec = catalog.get_family(args.id)
+    result = classify.epsilon_of_family(rec.id)
     payload = rec._replace(
         id=str(rec.id), epsilon=_fmt_epsilon(rec), dp_degrees=sorted(rec.dp_degrees)
     )._asdict()
     payload["recomputed"] = result.recomputed
     payload["description"] = payload.pop("description")  # stays the last key
-    return payload
-
-
-def cmd_family(args) -> int:
-    rec = catalog.get_family(args.id)
-    result = classify.epsilon_of_family(rec.id)
-    payload = _record_payload(rec, result)
-    if args.json:
-        print(json.dumps(payload))
-        return 0
-    dp = "{" + ",".join(str(d) for d in sorted(rec.dp_degrees)) + "}"
+    dp = "{" + ",".join(map(str, payload["dp_degrees"])) + "}"
     opt = lambda v: "?" if v is None else str(v).lower()
-    print(f"family {rec.id}: {rec.description}")
-    print(f"  epsilon={payload['epsilon']} (status={rec.eps_status}, recomputed={str(result.recomputed).lower()})")
-    print(f"  rho={rec.rho} index={opt(rec.index)} dp={dp} non_bpf={str(rec.non_bpf).lower()}")
-    print(f"  clubsuit={opt(rec.clubsuit)} ci_center={opt(rec.ci_center)} ell={opt(rec.ell)}")
-    return 0
+    return 0, payload, "\n".join([
+        f"family {rec.id}: {rec.description}",
+        f"  epsilon={payload['epsilon']} (status={rec.eps_status},"
+        f" recomputed={opt(result.recomputed)})",
+        f"  rho={rec.rho} index={opt(rec.index)} dp={dp} non_bpf={opt(rec.non_bpf)}",
+        f"  clubsuit={opt(rec.clubsuit)} ci_center={opt(rec.ci_center)} ell={opt(rec.ell)}",
+    ])
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple[int, dict, str]:
     rec = catalog.get_family(parse_family_id(args.id))
     real, outcome = classify.classify_family(rec)
-    if args.json:
-        print(json.dumps({
-            "id": str(rec.id),
-            "pencil_side": outcome.pencil_side,
-            "fiber_degree": outcome.fiber_degree,
-            "epsilon": str(outcome.epsilon),
-            "notes": list(outcome.notes),
-        }))
-        return 0
-    print(f"family {rec.id}")
-    print(f"  splitting: D1={real.d1}  D2={real.d2}")
-    print(f"  pencil_side={outcome.pencil_side} fiber_degree={outcome.fiber_degree}")
-    print(f"  epsilon={outcome.epsilon}")
-    for note in outcome.notes:
-        print(f"  rule: {note}")
-    return 0
+    payload = {"id": str(rec.id), **outcome._replace(epsilon=str(outcome.epsilon))._asdict()}
+    return 0, payload, "\n".join([
+        f"family {rec.id}",
+        f"  splitting: D1={real.d1}  D2={real.d2}",
+        f"  pencil_side={outcome.pencil_side} fiber_degree={outcome.fiber_degree}",
+        f"  epsilon={outcome.epsilon}",
+        *(f"  rule: {note}" for note in outcome.notes),
+    ])
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict, str]:
     report = classify.verify_paper()
     if args.only:
         report = report.section(args.only)
-    if args.json:
-        print(json.dumps({
-            "ok": report.ok,
-            "checks": [
-                {
-                    "section": c.section,
-                    "name": c.name,
-                    "expected": str(c.expected),
-                    "actual": str(c.actual),
-                    "passed": c.passed,
-                }
-                for c in report.checks
-            ],
-        }))
-    else:
-        print(report.render())
-    return 0 if report.ok else 1
+    checks = [
+        {**c._asdict(), "expected": str(c.expected), "actual": str(c.actual), "passed": c.passed}
+        for c in report.checks
+    ]
+    return (0 if report.ok else 1), {"ok": report.ok, "checks": checks}, report.render()
 
 
-def cmd_list(args) -> int:
-    records = catalog.list_families(
-        epsilon=args.epsilon, rho=args.rho, dp_degree=args.dp
-    )
-    if args.json:
-        rows = []
-        for rec in records:
-            rows.append({"id": str(rec.id), "epsilon": _fmt_epsilon(rec),
-                         "dp_degrees": sorted(rec.dp_degrees),
-                         "description": rec.description})
-        print(json.dumps({"count": len(rows), "families": rows}))
-        return 0
-    for rec in records:
-        dp = ",".join(str(d) for d in sorted(rec.dp_degrees)) or "-"
-        print(f"{rec.id}\t{_fmt_epsilon(rec)}\t{dp}\t{rec.description}")
-    print(f"count {len(records)}")
-    return 0
+def cmd_list(args) -> tuple[int, dict, str]:
+    rows = [
+        {"id": str(rec.id), "epsilon": _fmt_epsilon(rec),
+         "dp_degrees": sorted(rec.dp_degrees), "description": rec.description}
+        for rec in catalog.list_families(epsilon=args.epsilon, rho=args.rho, dp_degree=args.dp)
+    ]
+    lines = [
+        "\t".join((r["id"], r["epsilon"], ",".join(map(str, r["dp_degrees"])) or "-",
+                   r["description"]))
+        for r in rows
+    ]
+    return 0, {"count": len(rows), "families": rows}, "\n".join([*lines, f"count {len(rows)}"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,23 +119,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deg", help="evaluate an intersection number on a model")
     p.add_argument("recipe", help='model recipe, e.g. "blowup_point(P(3),count=1)"')
     p.add_argument("expr", nargs="?", help='class expression, e.g. "(2L-E)^3" or "-H^3"')
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_deg)
 
     p = sub.add_parser("family", help="show one catalog record")
     p.add_argument("id", help="family identifier rho.N, e.g. 3.2")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("classify", help="run the splitting classifier on a curated recipe")
     p.add_argument("id", help="family identifier rho.N")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="recompute published values and report")
     p.add_argument("--only", choices=classify.VERIFY_SECTIONS,
                    help="restrict to one section of the report")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("list", help="list catalog families with optional filters")
@@ -176,9 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="filter by del Pezzo fibration degree")
     p.add_argument("--rho", type=_positive_int_arg, default=None,
                    help="filter by Picard rank")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_list)
 
+    for p in sub.choices.values():  # last, so usage and help list it last
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -196,7 +162,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, payload, text = args.func(args)
+        print(json.dumps(payload) if args.json else text)
+        return code
     except (FanoCalcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -286,12 +286,10 @@ def _parse_number(ts: _TokenStream) -> Num:
 def _parse_primary_pow(ts: _TokenStream) -> ClassExpr:
     if ts.cur.kind == "name":
         node: ClassExpr = Sym(ts.advance().text)
-    elif ts.at_op("("):
+    else:  # "(": both callers check for a name or "(" first
         ts.advance()
         node = _parse_expr(ts)
         ts.expect_op(")", "expected ')'")
-    else:
-        ts.fail("expected atom")
     if ts.at_op("^"):
         ts.advance()
         node = Pow(node, _parse_uint(ts, "expected integer exponent"))

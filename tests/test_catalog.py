@@ -120,11 +120,12 @@ def test_env_override_loads_alternate_file(tmp_path, monkeypatch):
     assert len(load_catalog()) == 1
 
 
-def test_bad_header_rejected(tmp_path):
+def test_bad_header_rejected(tmp_path, monkeypatch):
     bad = tmp_path / "families.tsv"
     bad.write_text("id\trho\n1.1\t1\n", encoding="utf-8")
+    monkeypatch.setenv(catalog.DATA_ENV_VAR, str(bad))
     with pytest.raises(ValueError, match="unexpected header"):
-        load_catalog(str(bad))
+        load_catalog()
 
 
 def test_columns_follow_the_record_fields():

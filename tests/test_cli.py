@@ -59,6 +59,13 @@ class TestDeg:
         assert code == 1
         assert "offset 5" in err
 
+    @pytest.mark.parametrize("expr,message", [
+        ("H*H*H*H", "more than 3 classes multiplied on P3"),
+        ("1/0*H^3", "zero denominator (at offset 2)"),
+    ])
+    def test_domain_error_message(self, capsys, expr, message):
+        assert run(capsys, "deg", "P(3)", expr) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("recipe", [
         "mystery(3)", "P(x)", "P(3, 4)", "P(n=3)", "P(0)", "dp3(8)",
         "prod(P(1))", "prod(P(1), 3)",
@@ -75,6 +82,11 @@ class TestDeg:
         # rejected by the model's own checks: reference class, basis names
         "divisor_in(P(4), -H)", "divisor_in(prod(P(2),P(2)), H1-H2)",
         "prod(prod(P(1),P(1)),P(1),P(1))",
+        "bundle(P(3), summands=[0,0,0])",
+        "blowup_curve(P(2), genus=0, degrees={H:1})",
+        "double_cover(P(4), half_branch=H)",
+        "P(3)x", "P(3, count=1)",
+        "blowup_curve(P(3), genus=0, degrees={1:2})",
     ])
     def test_bad_recipe(self, capsys, recipe):
         # "0" evaluates on every model, so only the recipe can fail
@@ -341,6 +353,19 @@ class TestList:
 class TestUsage:
     def test_no_subcommand(self, capsys):
         assert run(capsys, )[0] == 2
+
+    # the usage line shows where --json sits among each subcommand's options
+    @pytest.mark.parametrize("argv,err", [
+        (["deg", "P(3)"],
+         "usage: fanocalc [-h] {deg,family,classify,verify,list} ...\n"
+         "fanocalc: error: the following arguments are required: expr\n"),
+        (["list", "--rho", "0"],
+         "usage: fanocalc list [-h] [--epsilon EPSILON] [--dp DP] [--rho RHO] [--json]\n"
+         "fanocalc list: error: argument --rho: must be positive: 0\n"),
+    ], ids=["deg_without_expr", "list_rho_zero"])
+    def test_usage_error_text(self, capsys, monkeypatch, argv, err):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+        assert run(capsys, *argv) == (2, "", err)
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

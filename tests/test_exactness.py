@@ -9,6 +9,9 @@ No ``dataclasses`` either: importing it imports ``inspect``, and with the
 classes it builds it cost about a quarter of every ``fanocalc`` call's
 start.  The same walk rejects both forms of its import.
 
+One output path: ``cli.main`` is the only code that names ``print`` or
+``stdout``, so each subcommand returns its answer and ``main`` writes it.
+
 The package binds only its modules and ``parse_family_id``.
 """
 
@@ -52,6 +55,39 @@ def test_lint_sees_each_construct():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_float(path):
     assert list(flagged(path.read_text())) == []
+
+
+def outputs_outside_main(source, main_may_print):
+    """Lines that name ``print`` or ``stdout`` outside a top-level ``main``,
+    or anywhere if ``main_may_print`` is false."""
+    tree = ast.parse(source)
+    allowed = {
+        id(node)
+        for f in tree.body if main_may_print and isinstance(f, ast.FunctionDef) and f.name == "main"
+        for node in ast.walk(f)
+    }
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if id(node) not in allowed and (
+            isinstance(node, ast.Name) and node.id == "print"
+            or isinstance(node, ast.Attribute) and node.attr == "stdout"
+        )
+    )
+
+
+def test_output_lint_sees_each_construct():
+    source = (
+        "def cmd(x):\n    print(x)\n    return sys.stdout\n"
+        "def main():\n    print(1)\n    sys.stdout.write('')\n"
+        "def helper():\n    echo = print\n"
+    )
+    assert outputs_outside_main(source, True) == [2, 3, 8]
+    assert outputs_outside_main(source, False) == [2, 3, 5, 6, 8]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_cli_main_writes_stdout(path):
+    assert outputs_outside_main(path.read_text(), path.name == "cli.py") == []
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
