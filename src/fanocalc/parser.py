@@ -148,13 +148,15 @@ def _pp(e: ClassExpr) -> str:
 # tokenizer (shared by both grammars)
 # --------------------------------------------------------------------------
 
-# Longest class expression or recipe accepted, in tokens.  The parser and every
-# walk over its tree recurse at most twice per token, so this stays within the
-# default recursion limit of 1000; three general classes on Bl_20 P^3 take 386.
+# Longest class expression or recipe accepted, in tokens.  The parser recurses
+# at most twice per token and a walk over its tree no more (a sum chain is a loop,
+# so that bound is loose), which keeps within the default recursion limit of 1000;
+# three general classes on Bl_20 P^3 take 386.
 MAX_TOKENS = 400
 
+# every non-space character starts a match, a token or a bad one
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^/()\[\]{}=,:]|−))"
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^/()\[\]{}=,:]|−)|(?P<bad>\S))"
 )
 
 
@@ -166,28 +168,14 @@ class _Tok(NamedTuple):
 
 def _tokenize(text: str) -> list[_Tok]:
     toks = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            # skip trailing whitespace, otherwise reject the character
-            rest = text[i:]
-            if rest.strip() == "":
-                break
-            bad = i + (len(rest) - len(rest.lstrip()))
-            raise ParseError(f"unexpected character {text[bad]!r}", bad)
-        if m.group("int") is not None:
-            toks.append(_Tok("int", m.group("int"), m.start("int")))
-        elif m.group("name") is not None:
-            toks.append(_Tok("name", m.group("name"), m.start("name")))
-        else:
-            op = m.group("op")
-            if op == "−":
-                op = "-"
-            toks.append(_Tok("op", op, m.start("op")))
-        i = m.end()
-        if len(toks) > MAX_TOKENS:
-            raise ParseError(f"input is longer than {MAX_TOKENS} tokens", toks[-1].pos)
+    for m in _TOKEN_RE.finditer(text):  # trailing whitespace matches nothing
+        kind = m.lastgroup
+        pos = m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", pos)
+        if len(toks) == MAX_TOKENS:
+            raise ParseError(f"input is longer than {MAX_TOKENS} tokens", pos)
+        toks.append(_Tok(kind, "-" if m[kind] == "−" else m[kind], pos))
     toks.append(_Tok("eof", "", len(text)))
     return toks
 

@@ -301,8 +301,16 @@ def _walk(model: VarietyModel, e: pmod.ClassExpr) -> list[_Term]:
     if isinstance(e, pmod.Neg):
         return [(-c, f) for c, f in _walk(model, e.arg)]
     if isinstance(e, (pmod.Add, pmod.Sub)):
-        right = e.right if isinstance(e, pmod.Add) else pmod.Neg(e.right)
-        return _collect(_walk(model, e.left) + _walk(model, right))
+        # one loop down a left-deep sum's spine; its terms are walked in order, collected once
+        spine = []
+        while isinstance(e, (pmod.Add, pmod.Sub)):
+            spine.append(e)
+            e = e.left
+        terms = _walk(model, e)
+        for node in reversed(spine):
+            right = _walk(model, node.right)
+            terms += right if isinstance(node, pmod.Add) else [(-c, f) for c, f in right]
+        return _collect(terms)
     if isinstance(e, pmod.Mul):
         return _multiply(model, _walk(model, e.left), _walk(model, e.right))
     if isinstance(e, pmod.Pow):
@@ -445,6 +453,29 @@ def make_projective_bundle(base: VarietyModel, summands: Sequence[DivisorClass])
     )
 
 
+def _blown_up(ambient: VarietyModel, count: int, entries: Mapping, k_coeff: int) -> VarietyModel:
+    """``ambient`` plus ``count`` exceptional divisors with these form ``entries`` and -K
+    coefficient, numbered on from its ``E<digits>``; ``E`` also names a first and only one."""
+    first = 1 + sum(1 for b in ambient.basis if re.fullmatch(r"E\d+", b))
+    basis = list(ambient.basis)
+    for j in range(first, first + count):
+        basis.append(f"E{j}")
+        if basis[-1] in ambient.basis:
+            break  # a chain of single blow-ups stops at this basis, which the model rejects
+    aliases = {**ambient.aliases, "E": "E1"}
+    if not count == first == 1:
+        del aliases["E"]
+    return VarietyModel(
+        name="Bl(" * count + ambient.name + ")" * count,
+        dimension=ambient.dimension,
+        basis=basis,
+        entries={**ambient.form.entries, **entries},
+        anticanonical=list(ambient.anticanonical.coeffs) + [k_coeff] * count,
+        ample_ref=list(ambient.ample_ref.coeffs) + [0] * count,
+        aliases=aliases,
+    )
+
+
 def make_blowup(
     ambient: VarietyModel,
     genus: Optional[int] = None,
@@ -452,62 +483,40 @@ def make_blowup(
 ) -> VarietyModel:
     """Blow-up at a point, or along a smooth curve when ``degrees`` is given.
 
-    ``degrees`` records D·C for ambient basis classes D, as a mapping or as
-    (name, degree) pairs; omitted names default to zero.  Degrees may be
-    negative (strict-transform bookkeeping for centers inside an earlier
-    exceptional divisor).  The reference class is the ambient one pulled
-    back, which contracts E, so it is not ample on the blow-up.
+    A point center is ``blowup_points(ambient, 1)``.  ``degrees`` records D·C
+    for ambient basis classes D, as a mapping or as (name, degree) pairs;
+    omitted names default to zero.  Degrees may be negative (strict-transform
+    bookkeeping for centers inside an earlier exceptional divisor).  The
+    reference class is the ambient one pulled back, which contracts E, so it
+    is not ample on the blow-up.
     """
-    if degrees is None and genus is not None:
-        raise GeometryError("point centers carry no genus")
-    if degrees is not None and (genus is None or genus < 0):
+    if degrees is None:
+        if genus is not None:
+            raise GeometryError("point centers carry no genus")
+        return blowup_points(ambient, 1)
+    if genus is None or genus < 0:
         raise GeometryError("curve centers need a nonnegative genus")
     n = ambient.dimension
     if n not in (2, 3):
         raise UnsupportedDimensionError(f"blow-ups supported on surfaces and threefolds, not dim {n}")
-    if degrees is not None and n != 3:
+    if n != 3:
         raise GeometryError("curve centers are only supported on threefolds")
 
-    m = len(ambient.basis)
-    existing = [b for b in ambient.basis if re.fullmatch(r"E\d+", b)]
-    e_name = f"E{len(existing) + 1}"
-
     # Fulton, Intersection Theory, 6.7: ambient products are unchanged, E
-    # meets them only in E^n and, for a curve, D.E^2 = -D.C
-    entries = dict(ambient.form.entries)
-    if degrees is None:
-        entries[(m,) * n] = 1 if n == 3 else -1
-    else:
-        given: dict[int, int] = {}
-        for name, value in degrees.items() if isinstance(degrees, Mapping) else degrees:
-            i = ambient.basis_index(name)
-            if i in given:
-                raise GeometryError(f"degree against {ambient.basis[i]} given twice")
-            given[i] = value
-            entries[(i, m, m)] = -value
-        # E^3 = 2 - 2g + K_Y.C, with K_Y.C from the degrees against -K_Y
-        k_dot_c = -sum(ambient.anticanonical.coeffs[i] * dg for i, dg in given.items())
-        entries[(m,) * n] = 2 - 2 * genus + k_dot_c
-
-    # exceptional coefficient of -K is codim - 1: -2E for a point on a
-    # threefold, -E for a curve or a point on a surface
-    codim = 2 if (degrees is not None or n == 2) else n
-    antican = list(ambient.anticanonical.coeffs) + [1 - codim]
-    ample = list(ambient.ample_ref.coeffs) + [0]
-
-    aliases = dict(ambient.aliases)
-    aliases.pop("E", None)
-    if not existing:
-        aliases["E"] = e_name
-    return VarietyModel(
-        name=f"Bl({ambient.name})",
-        dimension=n,
-        basis=list(ambient.basis) + [e_name],
-        entries=entries,
-        anticanonical=antican,
-        ample_ref=ample,
-        aliases=aliases,
-    )
+    # meets them only in E^3 and D.E^2 = -D.C
+    m = len(ambient.basis)
+    entries: dict[tuple[int, ...], Rational] = {}
+    given: dict[int, int] = {}
+    for name, value in degrees.items() if isinstance(degrees, Mapping) else degrees:
+        i = ambient.basis_index(name)
+        if i in given:
+            raise GeometryError(f"degree against {ambient.basis[i]} given twice")
+        given[i] = value
+        entries[(i, m, m)] = -value
+    # E^3 = 2 - 2g + K_Y.C, with K_Y.C from the degrees against -K_Y
+    k_dot_c = -sum(ambient.anticanonical.coeffs[i] * dg for i, dg in given.items())
+    entries[(m, m, m)] = 2 - 2 * genus + k_dot_c
+    return _blown_up(ambient, 1, entries, -1)  # -K = -K_Y - E along a curve
 
 
 # Largest basis a point blow-up may leave, which bounds the time of any
@@ -516,15 +525,21 @@ MAX_BASIS = 64
 
 
 def blowup_points(ambient: VarietyModel, count: int) -> VarietyModel:
+    """Blow-up at ``count`` distinct points, built as one model.
+
+    Each E_j meets only itself (Fulton, Intersection Theory, 6.7): E_j^3 = 1
+    on a threefold, E_j^2 = -1 on a surface, and -K gains (1 - n) E_j.
+    """
     if count < 1:
         raise GeometryError("need a positive number of points")
     size = len(ambient.basis) + count
     if size > MAX_BASIS:
         raise GeometryError(f"{count} points would give {size} basis classes, over {MAX_BASIS}")
-    model = ambient
-    for _ in range(count):
-        model = make_blowup(model)
-    return model
+    n = ambient.dimension
+    if n not in (2, 3):
+        raise UnsupportedDimensionError(f"blow-ups supported on surfaces and threefolds, not dim {n}")
+    e_top = 1 if n == 3 else -1
+    return _blown_up(ambient, count, {(j,) * n: e_top for j in range(size - count, size)}, 1 - n)
 
 
 def make_double_cover(base: VarietyModel, half_branch: DivisorClass) -> VarietyModel:

@@ -307,6 +307,32 @@ def test_both_walks_match_dense_loop(monkeypatch, recipe, text, walk):
     assert spy.taken == {walk}
 
 
+def _dense_cube(model, text):
+    c = model.divisor(text)
+    return dense_intersection_number(model, [c] * 3)
+
+
+def test_signed_sums_match_dense_loop():
+    """A sum walked as one loop keeps the sign of each Sub's right-hand terms."""
+    model = blowup_points(P(3), 2)
+    h, e1 = model.divisor("H"), model.divisor("E1")
+    expected = (dense_intersection_number(model, [h] * 3)
+                - dense_intersection_number(model, [e1] * 3)
+                - dense_intersection_number(model, [h - e1, e1, e1]))
+    assert model.evaluate("H^3-E1^3-(H-E1)*E1*E1") == expected
+    assert model.evaluate("-(H-E1-E2)^3+H^3") == -_dense_cube(model, "H-E1-E2") + _dense_cube(model, "H")
+
+
+def test_alternating_sum_cubed_matches_closed_form():
+    """(aH + sum c_i E_i)^3 = a^3 + sum c_i^3 on Bl_20 P^3, where E_i^3 = 1."""
+    model = blowup_points(P(3), 20)
+    coeffs = [(-1) ** i * (i % 4 + 1) for i in range(1, 20)]  # 19 signed E_i, after H
+    text = "3*H" + "".join(f"{'+' if c > 0 else '-'}{abs(c)}*E{i}" for i, c in enumerate(coeffs, 1))
+    assert text.count("+") + text.count("-") == 19
+    expected = 27 + sum(c ** 3 for c in coeffs)
+    assert model.evaluate(f"({text})^3") == expected == _dense_cube(model, text)
+
+
 # ---------------------------------------------------------------------------
 # constructors against the reference builders
 
@@ -318,6 +344,32 @@ def test_point_blowups_match_dense_builder():
             expected = dense_blowup_entries(model)
             model = make_blowup(model)
             assert model.form.entries == expected
+
+
+def _fields(model):
+    return (model.name, model.basis, model.aliases, model.anticanonical.coeffs,
+            model.ample_ref.coeffs, model.form.entries)
+
+
+@pytest.mark.parametrize("recipe, count", [
+    ("P(3)", 20),
+    ("P(2)", 8),
+    ("divisor_in(P(4), 2*H)", 3),
+    ("blowup_curve(P(3), genus=0, degrees={H:1})", 1),
+    ("blowup_curve(P(3), genus=0, degrees={H:1})", 4),
+    ("blowup_point(P(3), count=2)", 3),
+    ("prod(P(1), blowup_point(P(2), count=3))", 5),
+])
+def test_one_shot_point_blowups_match_chained_ones(recipe, count):
+    """blowup_points(Y, k) builds, field for field, the model of k single blow-ups."""
+    ambient = model_from_recipe(recipe)
+    chained = ambient
+    for k in range(1, count + 1):
+        expected = dense_blowup_entries(chained)
+        chained = make_blowup(chained)
+        assert chained.form.entries == expected
+        assert _fields(blowup_points(ambient, k)) == _fields(chained)
+    assert chained.name == "Bl(" * count + ambient.name + ")" * count
 
 
 def test_curve_blowups_match_dense_builder():

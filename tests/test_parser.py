@@ -96,6 +96,32 @@ class TestErrors:
             parse_class_expr("H^E")
 
 
+class TestTokenLimits:
+    def test_exactly_max_tokens_parses(self):
+        text = "-" + "+".join(["H"] * (pmod.MAX_TOKENS // 2))
+        assert len(pmod._tokenize(text)) == pmod.MAX_TOKENS + 1  # and the end token
+        parse_class_expr(text)
+
+    def test_one_token_over_reports_that_token(self):
+        text = "+".join(["H"] * 201)
+        with pytest.raises(ParseError, match="input is longer than 400 tokens") as exc:
+            parse_class_expr(text)
+        assert exc.value.offset == 400
+
+    def test_trailing_whitespace_is_skipped(self):
+        assert parse_class_expr("H^3 \t\n") == Pow(Sym("H"), 3)
+
+    @pytest.mark.parametrize("text, message, offset", [
+        ("  @H", "unexpected character '@'", 2),
+        ("   ", "expected atom", 3),
+        ("", "expected atom", 0),
+    ])
+    def test_offsets_after_whitespace(self, text, message, offset):
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            parse_class_expr(text)
+        assert exc.value.offset == offset
+
+
 class TestFamilyId:
     def test_parse(self):
         assert parse_family_id("3.2") == FamilyId(3, 2)

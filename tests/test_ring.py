@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanocalc import ring
+from fanocalc import parser, ring
 from fanocalc.catalog import RECIPES, realize_recipe
 from fanocalc.errors import (
     DegreeError,
@@ -176,12 +176,65 @@ class TestBlowup:
             m.evaluate("E^3")  # ambiguous once there are two centers
 
     def test_basis_size_is_bounded(self):
-        assert len(blowup_points(P(3), ring.MAX_BASIS - 1).basis) == ring.MAX_BASIS
+        full = blowup_points(P(3), ring.MAX_BASIS - 1)
+        assert len(full.basis) == ring.MAX_BASIS
         with pytest.raises(GeometryError, match="basis classes, over 64"):
             blowup_points(P(3), 10 ** 8)
+        # one more point is over the bound, also through make_blowup
+        with pytest.raises(GeometryError, match="65 basis classes, over 64"):
+            make_blowup(full)
         # nested calls cannot get round the bound
         with pytest.raises(GeometryError, match="81 basis classes, over 64"):
             model_from_recipe("blowup_point(blowup_point(P(3), count=40), count=40)")
+
+    def test_exceptional_name_taken_by_the_ambient(self):
+        # the product names its factors' E1s E11 and E12, so the 9th new point would be
+        # E11 again; the error shows the basis up to that point, as after 9 single blow-ups
+        ambient = ("divisor_in(prod(blowup_point(P(2), count=1), blowup_point(P(2), count=1)),"
+                   " H1+H2)")
+        assert model_from_recipe(f"blowup_point({ambient}, count=8)").basis[-1] == "E10"
+        expected = ["H1", "E11", "H2", "E12"] + [f"E{i}" for i in range(3, 12)]
+        with pytest.raises(GeometryError) as exc:
+            model_from_recipe(f"blowup_point({ambient}, count=12)")
+        assert str(exc.value) == f"basis names not unique: {expected}"
+
+    def test_point_blowups_build_one_model(self, monkeypatch):
+        p3 = P(3)
+        built = []
+        init = ring.VarietyModel.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ring.VarietyModel, "__init__", counting_init)
+        assert len(blowup_points(p3, ring.MAX_BASIS - 1).basis) == ring.MAX_BASIS
+        assert len(built) == 1
+
+    def test_long_sum_is_collected_once(self, monkeypatch):
+        model = blowup_points(P(3), 20)
+        names = model.basis
+
+        def cube_of_sum(terms):
+            text = "".join("-+"[i % 2] + names[i % len(names)] for i in range(terms))  # -H+E1-E2…
+            return f"({text})^3"
+
+        calls = []
+        collect = ring._collect
+
+        def counting_collect(terms):
+            calls.append(len(terms))
+            return collect(terms)
+
+        monkeypatch.setattr(ring, "_collect", counting_collect)
+        counts = []
+        for terms, tokens in ((20, 44), (194, 392)):
+            text = cube_of_sum(terms)
+            assert len(parser._tokenize(text)) - 1 == tokens  # without the end token
+            calls.clear()
+            model.evaluate(text)
+            counts.append(len(calls))
+        assert counts[1] <= counts[0]
 
     def test_curve_blowup_line(self):
         m = make_blowup(P(3), 0, {"H": 1})
