@@ -292,31 +292,33 @@ def _multiply(model: VarietyModel, a: list[_Term], b: list[_Term]) -> list[_Term
     return _collect(out)
 
 
-def _walk(model: VarietyModel, e: pmod.ClassExpr) -> list[_Term]:
+def _walk(model: VarietyModel, e: pmod.ClassExpr, named: Mapping = {}) -> list[_Term]:
     """A class expression as a short sum of products of at most n class vectors."""
     if isinstance(e, pmod.Sym):
+        if e.name in named:  # a named class's walked form, copied: a sum extends its list
+            return list(named[e.name])
         return [(1, ({model.basis_index(e.name): 1},))]
     if isinstance(e, pmod.Num):
         return [(_exact(e.value), ())] if e.value else []
     if isinstance(e, pmod.Neg):
-        return [(-c, f) for c, f in _walk(model, e.arg)]
+        return [(-c, f) for c, f in _walk(model, e.arg, named)]
     if isinstance(e, (pmod.Add, pmod.Sub)):
         # one loop down a left-deep sum's spine; its terms are walked in order, collected once
         spine = []
         while isinstance(e, (pmod.Add, pmod.Sub)):
             spine.append(e)
             e = e.left
-        terms = _walk(model, e)
+        terms = _walk(model, e, named)
         for node in reversed(spine):
-            right = _walk(model, node.right)
+            right = _walk(model, node.right, named)
             terms += right if isinstance(node, pmod.Add) else [(-c, f) for c, f in right]
         return _collect(terms)
     if isinstance(e, pmod.Mul):
-        return _multiply(model, _walk(model, e.left), _walk(model, e.right))
+        return _multiply(model, _walk(model, e.left, named), _walk(model, e.right, named))
     if isinstance(e, pmod.Pow):
         if e.exp > model.dimension:
             raise DegreeError(f"exponent {e.exp} is above the dimension of {model.name}")
-        base = _walk(model, e.base)
+        base = _walk(model, e.base, named)
         out: list[_Term] = [(1, ())]
         for _ in range(e.exp):
             out = _multiply(model, out, base)
@@ -324,14 +326,21 @@ def _walk(model: VarietyModel, e: pmod.ClassExpr) -> list[_Term]:
     raise TypeError(f"not a class expression: {e!r}")
 
 
-def evaluate(model: VarietyModel, expr: Union[str, pmod.ClassExpr]) -> Fraction:
-    """Value of a degree-n polynomial in basis symbols under the form.
+def evaluate(model: VarietyModel, expr: Union[str, pmod.ClassExpr],
+             classes: Optional[Mapping[str, DivisorClass]] = None) -> Fraction:
+    """Value of a degree-n polynomial in basis symbols and named classes under the form.
 
-    Only linear parts cancel: every product of classes left must have n factors.
+    ``classes`` maps names to classes of ``model``; a name that is a basis symbol or alias
+    is a ``GeometryError``.  Only linear parts cancel: every product left has n factors.
     """
     ast = pmod.parse_class_expr(expr) if isinstance(expr, str) else expr
+    named = {}
+    for name, c in (classes or {}).items():
+        if name in model.basis or name in model.aliases:
+            raise GeometryError(f"class name {name!r} is a symbol of model {model.name}")
+        named[name] = _collect([(1, (_sparse(model.divisor(c).coeffs),))])  # 0 has no term
     total = Fraction(0)
-    for c, factors in _walk(model, ast):
+    for c, factors in _walk(model, ast, named):
         if len(factors) != model.dimension:
             raise DegreeError(f"expression is not of degree {model.dimension} on {model.name}")
         total += c * _contract(model.form.entries, factors).get((), 0)

@@ -308,6 +308,20 @@ class TestVerify:
         assert code == 1
         assert "CHECK triple-3.1-sums-to-anticanonical" in out and out.count("FAIL") == 1
 
+    def test_bad_row_is_a_fail_line(self, capsys, monkeypatch):
+        fid = parse_family_id("3.31")
+        monkeypatch.setitem(catalog.RECIPES, fid, catalog.RECIPES[fid]._replace(d1="zeta"))
+        catalog.realize_recipe.cache_clear()
+        try:
+            code, out, _ = run(capsys, "verify")
+        finally:
+            catalog.realize_recipe.cache_clear()
+        assert code == 1
+        assert [line for line in out.splitlines() if line.endswith("FAIL")] == [
+            "CHECK case-3.31-residual expected=40 actual=28 FAIL"
+        ]
+        assert "CHECK case-3.31-anticanonical-cube expected=52 actual=52 PASS" in out
+
 
 class TestList:
     def test_epsilon_filter(self, capsys):

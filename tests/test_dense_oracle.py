@@ -224,6 +224,8 @@ def test_kernel_matches_dense_loop(recipe):
         assert intersection_number(model, classes) == expected
         text = "*".join(_class_text(v, model.basis) for v in vectors)
         assert model.evaluate(text) == expected
+        named = {f"C{i}": c for i, c in enumerate(classes)}
+        assert ring.evaluate(model, "*".join(named), named) == expected
     k = model.anticanonical
     assert intersection_number(model, [k] * n) == dense_intersection_number(model, [k] * n)
 

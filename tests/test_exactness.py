@@ -12,6 +12,10 @@ start.  The same walk rejects both forms of its import.
 One output path: ``cli.main`` is the only code that names ``print`` or
 ``stdout``, so each subcommand returns its answer and ``main`` writes it.
 
+One verification path: ``classify.verify_paper`` names neither
+``intersection_number`` nor ``fibration_degree``, so each of its numeric
+checks is a row of its expression table.
+
 The package binds only its modules and ``parse_family_id``.
 """
 
@@ -98,6 +102,15 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_verify_paper_computes_through_its_rows():
+    tree = ast.parse((Path(fanocalc.__file__).parent / "classify.py").read_text())
+    (verify,) = [f for f in tree.body
+                 if isinstance(f, ast.FunctionDef) and f.name == "verify_paper"]
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(verify) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert named.isdisjoint({"intersection_number", "fibration_degree"})
 
 
 def test_package_binds_only_its_modules():

@@ -86,6 +86,44 @@ class TestEarlyDegreeCheck:
         assert walked == [(1, ({1: 1}, {1: 1}, {2: 1}))]
 
 
+class TestNamedClasses:
+    """``ring.evaluate`` with a mapping of names to classes of the model."""
+
+    def test_named_classes_enter_products_and_sums(self):
+        m = blowup_points(P(3), 1)
+        named = {"A": m.anticanonical, "D1": m.divisor("2*H-E")}
+        assert ring.evaluate(m, "A^3", named) == 56
+        assert ring.evaluate(m, "D1^2*(A-D1)", named) == m.evaluate("(2*H-E)^2*(2*H-E)")
+        # a name first in two sums: the first sum leaves the second's terms as they were
+        assert ring.evaluate(m, "(D1+H)*(D1+H)*H", named) == 9
+
+    @pytest.mark.parametrize("model, name", [
+        (P(3), "H"),
+        (P(3), "L"),
+        (blowup_points(P(3), 1), "E"),
+    ], ids=["basis", "alias-L", "alias-E"])
+    def test_name_of_a_symbol_rejected(self, model, name):
+        with pytest.raises(GeometryError, match=f"'{name}'"):
+            ring.evaluate(model, "H^3", {name: model.anticanonical})
+
+    def test_foreign_class_rejected(self):
+        with pytest.raises(ForeignClassError):
+            ring.evaluate(P(3), "D1*H^2", {"D1": P(2).divisor("H")})
+
+    def test_zero_class_is_zero(self):
+        m = P(3)
+        assert ring.evaluate(m, "Z*H^2", {"Z": m.zero()}) == 0
+        assert ring.evaluate(m, "H^3+Z^3", {"Z": m.zero()}) == 1
+
+    def test_unused_name_ignored(self):
+        m = P(3)
+        assert ring.evaluate(m, "H^3", {"D1": m.divisor("2*H")}) == 1
+
+    def test_divisor_takes_no_names(self):
+        with pytest.raises(UnknownSymbolError):
+            P(3).divisor("D1")
+
+
 class TestDelPezzoThreefold:
     def test_degree_and_index(self):
         m = make_del_pezzo_threefold(1)
