@@ -84,11 +84,12 @@ def _parse_record(line: str) -> FanoFamilyRecord:
     return rec
 
 
+_SHIPPED_DATA = os.path.join(os.path.dirname(__file__), "data", "fano_families.tsv")
+
+
 def data_path() -> str:
-    override = os.environ.get(DATA_ENV_VAR)
-    if override:
-        return override
-    return os.path.join(os.path.dirname(__file__), "data", "fano_families.tsv")
+    """The catalog file: ``FANOCALC_DATA`` when set and non-empty, read on each call."""
+    return os.environ.get(DATA_ENV_VAR) or _SHIPPED_DATA
 
 
 @lru_cache(maxsize=None)

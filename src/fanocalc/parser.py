@@ -181,31 +181,28 @@ def _tokenize(text: str) -> list[_Tok]:
 
 
 class _TokenStream:
+    """Tokens read in order; ``kind``, ``text`` and ``pos`` are the current token's.
+    Only an op token has an operator's text, so ``ts.text == "("`` tests for that op."""
+
     def __init__(self, text: str):
-        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
-
-    @property
-    def cur(self) -> _Tok:
-        return self.toks[self.i]
+        self.kind, self.text, self.pos = self.toks[0]
 
     def advance(self) -> _Tok:
         t = self.toks[self.i]
-        if t.kind != "eof":
+        if self.kind != "eof":
             self.i += 1
+            self.kind, self.text, self.pos = self.toks[self.i]
         return t
 
-    def at_op(self, *ops: str) -> bool:
-        return self.cur.kind == "op" and self.cur.text in ops
-
     def expect_op(self, op: str, what: str | None = None) -> None:
-        if not self.at_op(op):
-            raise ParseError(what or f"expected {op!r}", self.cur.pos)
+        if self.text != op:
+            raise ParseError(what or f"expected {op!r}", self.pos)
         self.advance()
 
     def fail(self, what: str):
-        raise ParseError(what, self.cur.pos)
+        raise ParseError(what, self.pos)
 
 
 # --------------------------------------------------------------------------
@@ -222,7 +219,7 @@ def parse_class_expr(text: str) -> ClassExpr:
     try:
         ts = _TokenStream(text)
         expr = _parse_expr(ts)
-        if ts.cur.kind != "eof":
+        if ts.kind != "eof":
             ts.fail("expected end of expression")
     except ParseError as exc:
         raise _in_bytes(exc, text) from None
@@ -231,7 +228,7 @@ def parse_class_expr(text: str) -> ClassExpr:
 
 def _parse_expr(ts: _TokenStream) -> ClassExpr:
     node = _parse_term(ts)
-    while ts.at_op("+", "-"):
+    while ts.text in ("+", "-"):
         op = ts.advance().text
         rhs = _parse_term(ts)
         node = Add(node, rhs) if op == "+" else Sub(node, rhs)
@@ -240,7 +237,7 @@ def _parse_expr(ts: _TokenStream) -> ClassExpr:
 
 def _parse_term(ts: _TokenStream) -> ClassExpr:
     node = _parse_factor(ts)
-    while ts.at_op("*"):
+    while ts.text == "*":
         ts.advance()
         node = Mul(node, _parse_factor(ts))
     return node
@@ -254,7 +251,7 @@ def _int_literal(text: str, offset: int) -> int:
 
 
 def _parse_uint(ts: _TokenStream, what: str) -> int:
-    if ts.cur.kind != "int":
+    if ts.kind != "int":
         ts.fail(what)
     tok = ts.advance()
     return _int_literal(tok.text, tok.pos)
@@ -262,7 +259,7 @@ def _parse_uint(ts: _TokenStream, what: str) -> int:
 
 def _parse_number(ts: _TokenStream) -> Num:
     p = _parse_uint(ts, "expected number")
-    if ts.at_op("/"):
+    if ts.text == "/":
         ts.advance()
         q = _parse_uint(ts, "expected denominator")
         if q == 0:
@@ -272,32 +269,32 @@ def _parse_number(ts: _TokenStream) -> Num:
 
 
 def _parse_primary_pow(ts: _TokenStream) -> ClassExpr:
-    if ts.cur.kind == "name":
+    if ts.kind == "name":
         node: ClassExpr = Sym(ts.advance().text)
     else:  # "(": both callers check for a name or "(" first
         ts.advance()
         node = _parse_expr(ts)
         ts.expect_op(")", "expected ')'")
-    if ts.at_op("^"):
+    if ts.text == "^":
         ts.advance()
         node = Pow(node, _parse_uint(ts, "expected integer exponent"))
     return node
 
 
 def _parse_factor(ts: _TokenStream) -> ClassExpr:
-    if ts.at_op("-"):
+    if ts.text == "-":
         ts.advance()
         return Neg(_parse_factor(ts))
-    if ts.cur.kind == "int":
+    if ts.kind == "int":
         num = _parse_number(ts)
         # coefficient-juxtaposition: "2L", "9L^3", "3(H+E)"  -- scalar times factor
-        if ts.cur.kind == "name" or ts.at_op("("):
+        if ts.kind == "name" or ts.text == "(":
             return Mul(num, _parse_primary_pow(ts))
-        if ts.at_op("^"):
+        if ts.text == "^":
             ts.advance()
             return Pow(num, _parse_uint(ts, "expected integer exponent"))
         return num
-    if ts.cur.kind == "name" or ts.at_op("("):
+    if ts.kind == "name" or ts.text == "(":
         return _parse_primary_pow(ts)
     ts.fail("expected atom")
 
@@ -392,7 +389,7 @@ def parse_recipe(text: str) -> Call:
     try:
         ts = _TokenStream(text)
         recipe = _parse_recipe_call(ts)
-        if ts.cur.kind != "eof":
+        if ts.kind != "eof":
             ts.fail("expected end of recipe")
     except ParseError as exc:
         raise _in_bytes(exc, text) from None
@@ -402,9 +399,9 @@ def parse_recipe(text: str) -> Call:
 def _parse_items(ts: _TokenStream, close: str, parse_item) -> list:
     """Comma-separated items up to the closing bracket ``close``."""
     items = []
-    if not ts.at_op(close):
+    if ts.text != close:
         items.append(parse_item(ts))
-        while ts.at_op(","):
+        while ts.text == ",":
             ts.advance()
             items.append(parse_item(ts))
     ts.expect_op(close, f"expected {close!r} or ','")
@@ -412,7 +409,7 @@ def _parse_items(ts: _TokenStream, close: str, parse_item) -> list:
 
 
 def _parse_recipe_call(ts: _TokenStream) -> Call:
-    if ts.cur.kind != "name" or ts.cur.text not in _SIGNATURES:
+    if ts.kind != "name" or ts.text not in _SIGNATURES:
         ts.fail("expected a recipe constructor")
     name_tok = ts.advance()
     ts.expect_op("(", "expected '('")
@@ -421,27 +418,27 @@ def _parse_recipe_call(ts: _TokenStream) -> Call:
 
 def _parse_argument(ts: _TokenStream) -> tuple[str | None, object]:
     key = None
-    if ts.cur.kind == "name" and ts.toks[ts.i + 1].text == "=":
+    if ts.kind == "name" and ts.toks[ts.i + 1].text == "=":
         key = ts.advance().text
         ts.advance()  # '='
-    if ts.cur.text in _SIGNATURES and ts.toks[ts.i + 1].text == "(":
+    if ts.text in _SIGNATURES and ts.toks[ts.i + 1].text == "(":
         return key, _parse_recipe_call(ts)
-    if ts.at_op("["):
+    if ts.text == "[":
         ts.advance()
         return key, _parse_items(ts, "]", _parse_expr)
-    if ts.at_op("{"):
+    if ts.text == "{":
         ts.advance()
         return key, tuple(_parse_items(ts, "}", _parse_degree))
     return key, _parse_expr(ts)
 
 
 def _parse_degree(ts: _TokenStream) -> tuple[str, int]:
-    if ts.cur.kind != "name":
+    if ts.kind != "name":
         ts.fail("expected basis symbol")
     name = ts.advance().text
     ts.expect_op(":", "expected ':'")
     sign = 1
-    if ts.at_op("-"):
+    if ts.text == "-":
         ts.advance()
         sign = -1
     return name, sign * _parse_uint(ts, "expected integer")

@@ -83,10 +83,6 @@ class DivisorClass(pmod._Value):
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def __str__(self) -> str:
         parts = []
         for name, c in zip(self.model.basis, self.coeffs):
@@ -211,8 +207,9 @@ def _contract(
     Returns the rest of the form, the sorted key of the other n - k slots mapped
     to its value; a full contraction is keyed by ().  A full one walks the smaller
     side: the ordered index tuples of the factors' supports, each looked up as a
-    sorted key, or the stored keys, each over its distinct ordered choices of k
-    indices, up to n! of them.  A partial one walks the stored keys.
+    sorted key, or the stored keys.  Those are walked one slot at a time: v in
+    one slot leaves the symmetric form F(v, ...), so each key and each distinct
+    index i in it give the key less one i, weighted by v_i.  No factors: a copy.
     """
     k = len(factors)
     full = k == len(next(iter(entries), ()))  # every stored key has n indices
@@ -225,23 +222,19 @@ def _contract(
                     term *= vec[i]
                 total += term
         return {(): total}
-    rest: dict[tuple[int, ...], Rational] = {}
-    for key, value in entries.items():
-        for perm in set(itertools.permutations(key, k)):
-            term = value
-            for vec, i in zip(factors, perm):
-                term *= vec.get(i, 0)
-                if not term:
-                    break
-            if term:
-                left = ()
-                if not full:
-                    left = list(key)
-                    for i in perm:
-                        left.remove(i)
-                    left = tuple(left)
-                rest[left] = rest.get(left, 0) + term
-    return rest
+    rest = entries
+    for vec in factors:
+        walked, rest = rest, {}
+        for key, value in walked.items():
+            prev = None
+            for pos, i in enumerate(key):
+                if i != prev:  # keys are sorted, so an index equal to its left neighbour repeats it
+                    prev = i
+                    x = vec.get(i)
+                    if x:
+                        left = key[:pos] + key[pos + 1:]
+                        rest[left] = rest.get(left, 0) + value * x
+    return rest if factors else dict(entries)
 
 
 def intersection_number(model: VarietyModel, classes: Sequence[DivisorClass]) -> Fraction:

@@ -255,6 +255,12 @@ def test_partial_contractions_match_dense_loop(recipe):
             assert rest.get(left, 0) == expected
 
 
+def test_contracting_no_factors_copies_the_entries():
+    entries = model_from_recipe(RECIPE_4_9).form.entries
+    rest = ring._contract(entries, [])
+    assert rest == entries and rest is not entries
+
+
 class _ItertoolsSpy:
     """Stands in for ring's itertools and records which functions are taken."""
 
@@ -283,18 +289,21 @@ def _factor(model, text):
     return model.divisor(text)
 
 
-# itertools.product walks the factors' supports, itertools.permutations the
-# stored keys; the text's factors are split at the *s outside parentheses,
-# and a single factor stands for its n-th power
+# itertools.product walks the factors' supports; the stored keys are walked one
+# slot at a time, with nothing from itertools; the text's factors are split at
+# the *s outside parentheses, and a single factor stands for its n-th power
+WALK_TAKES = {"product": {"product"}, "one-slot": set()}
+
+
 @pytest.mark.parametrize("recipe, text, walk", [
     ("blowup_point(P(3), count=3)", "E1*E1*E1", "product"),
     ("blowup_point(P(3), count=3)", "H*H*E2", "product"),
-    ("blowup_point(P(3), count=12)", "-K", "permutations"),
-    ("prod(P(1),P(1),P(1),P(1))", "-K", "permutations"),
+    ("blowup_point(P(3), count=12)", "-K", "one-slot"),
+    ("prod(P(1),P(1),P(1),P(1))", "-K", "one-slot"),
     ("blowup_point(P(3), count=3)", "(1/2*E1+1/3*E2)", "product"),
-    ("blowup_point(P(3), count=12)", "-K/4*-K/3*-K", "permutations"),
+    ("blowup_point(P(3), count=12)", "-K/4*-K/3*-K", "one-slot"),
     (half_section, "(1/3*H)*H*(1/2*H)", "product"),
-    (half_section_blown_up, "-K/3*-K*-K", "permutations"),
+    (half_section_blown_up, "-K/3*-K*-K", "one-slot"),
 ])
 def test_both_walks_match_dense_loop(monkeypatch, recipe, text, walk):
     model = recipe() if callable(recipe) else model_from_recipe(recipe)
@@ -306,7 +315,7 @@ def test_both_walks_match_dense_loop(monkeypatch, recipe, text, walk):
     monkeypatch.setattr(ring, "itertools", spy)
     assert intersection_number(model, classes) == expected
     assert model.evaluate("*".join(_class_text(c.coeffs, model.basis) for c in classes)) == expected
-    assert spy.taken == {walk}
+    assert spy.taken == WALK_TAKES[walk]
 
 
 def _dense_cube(model, text):
@@ -464,6 +473,24 @@ def test_pencil_check_matches_dense_loop(recipe, pencils):
         assert pencil_check(model, DivisorClass(model, tuple(vec))) is expected
         seen.add(expected)
     assert seen == ({True, False} if pencils else {False})
+
+
+def test_pencil_check_walks_the_form_once(monkeypatch):
+    """One contraction of the stored form with D, then one of that rest with D."""
+    model = model_from_recipe(RECIPE_4_9)
+    contract, calls = ring._contract, []
+
+    def spy(entries, factors):
+        rest = contract(entries, factors)
+        calls.append((entries, len(factors), rest))
+        return rest
+
+    monkeypatch.setattr(ring, "_contract", spy)
+    assert pencil_check(model, model.divisor("H-E1"))
+    assert len(calls) == 2
+    (first, k1, rest), (second, k2, _) = calls
+    assert first is model.form.entries and k1 == 1
+    assert second is rest and k2 == 1
 
 
 def test_bundle_without_positive_reference_class():

@@ -16,6 +16,9 @@ One verification path: ``classify.verify_paper`` names neither
 ``intersection_number`` nor ``fibration_degree``, so each of its numeric
 checks is a row of its expression table.
 
+One-slot contractions: ``ring._contract`` does not name ``permutations``,
+so the stored keys are walked one slot at a time and not over their orderings.
+
 The package binds only its modules and ``parse_family_id``.
 """
 
@@ -104,13 +107,20 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
+def names_in(module, function):
+    """Every name and attribute that the module-level ``function`` of ``module`` reads."""
+    tree = ast.parse((Path(fanocalc.__file__).parent / f"{module}.py").read_text())
+    (f,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == function]
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(f) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
 def test_verify_paper_computes_through_its_rows():
-    tree = ast.parse((Path(fanocalc.__file__).parent / "classify.py").read_text())
-    (verify,) = [f for f in tree.body
-                 if isinstance(f, ast.FunctionDef) and f.name == "verify_paper"]
-    named = {node.id if isinstance(node, ast.Name) else node.attr
-             for node in ast.walk(verify) if isinstance(node, (ast.Name, ast.Attribute))}
-    assert named.isdisjoint({"intersection_number", "fibration_degree"})
+    assert names_in("classify", "verify_paper").isdisjoint({"intersection_number", "fibration_degree"})
+
+
+def test_contract_walks_one_slot_at_a_time():
+    assert "permutations" not in names_in("ring", "_contract")
 
 
 def test_package_binds_only_its_modules():
