@@ -71,7 +71,7 @@ class Sym(_Value):
 
 
 class Num(_Value):
-    __slots__ = ("value",)  # a Fraction, always >= 0; negatives appear as Neg(Num(...))
+    __slots__ = ("value",)  # an int, else a Fraction; >= 0, negatives appear as Neg(Num(...))
 
 
 class Neg(_Value):
@@ -160,23 +160,19 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Tok(NamedTuple):
-    kind: str  # 'int' | 'name' | 'op' | 'eof'
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, pos) per token, kind 'int', 'name', 'op' or 'eof'."""
     toks = []
     for m in _TOKEN_RE.finditer(text):  # trailing whitespace matches nothing
         kind = m.lastgroup
+        tok = m[kind]
         pos = m.start(kind)
         if kind == "bad":
-            raise ParseError(f"unexpected character {m[kind]!r}", pos)
+            raise ParseError(f"unexpected character {tok!r}", pos)
         if len(toks) == MAX_TOKENS:
             raise ParseError(f"input is longer than {MAX_TOKENS} tokens", pos)
-        toks.append(_Tok(kind, "-" if m[kind] == "−" else m[kind], pos))
-    toks.append(_Tok("eof", "", len(text)))
+        toks.append((kind, "-" if tok == "−" else tok, pos))
+    toks.append(("eof", "", len(text)))
     return toks
 
 
@@ -189,7 +185,7 @@ class _TokenStream:
         self.i = 0
         self.kind, self.text, self.pos = self.toks[0]
 
-    def advance(self) -> _Tok:
+    def advance(self) -> tuple[str, str, int]:
         t = self.toks[self.i]
         if self.kind != "eof":
             self.i += 1
@@ -229,7 +225,7 @@ def parse_class_expr(text: str) -> ClassExpr:
 def _parse_expr(ts: _TokenStream) -> ClassExpr:
     node = _parse_term(ts)
     while ts.text in ("+", "-"):
-        op = ts.advance().text
+        op = ts.advance()[1]
         rhs = _parse_term(ts)
         node = Add(node, rhs) if op == "+" else Sub(node, rhs)
     return node
@@ -253,8 +249,8 @@ def _int_literal(text: str, offset: int) -> int:
 def _parse_uint(ts: _TokenStream, what: str) -> int:
     if ts.kind != "int":
         ts.fail(what)
-    tok = ts.advance()
-    return _int_literal(tok.text, tok.pos)
+    _, text, pos = ts.advance()
+    return _int_literal(text, pos)
 
 
 def _parse_number(ts: _TokenStream) -> Num:
@@ -263,14 +259,14 @@ def _parse_number(ts: _TokenStream) -> Num:
         ts.advance()
         q = _parse_uint(ts, "expected denominator")
         if q == 0:
-            raise ParseError("zero denominator", ts.toks[ts.i - 1].pos)
-        return Num(Fraction(p, q))
-    return Num(Fraction(p))
+            raise ParseError("zero denominator", ts.toks[ts.i - 1][2])
+        return Num(p // q if p % q == 0 else Fraction(p, q))
+    return Num(p)
 
 
 def _parse_primary_pow(ts: _TokenStream) -> ClassExpr:
     if ts.kind == "name":
-        node: ClassExpr = Sym(ts.advance().text)
+        node: ClassExpr = Sym(ts.advance()[1])
     else:  # "(": both callers check for a name or "(" first
         ts.advance()
         node = _parse_expr(ts)
@@ -411,17 +407,17 @@ def _parse_items(ts: _TokenStream, close: str, parse_item) -> list:
 def _parse_recipe_call(ts: _TokenStream) -> Call:
     if ts.kind != "name" or ts.text not in _SIGNATURES:
         ts.fail("expected a recipe constructor")
-    name_tok = ts.advance()
+    _, name, pos = ts.advance()
     ts.expect_op("(", "expected '('")
-    return _bind(name_tok.text, name_tok.pos, _parse_items(ts, ")", _parse_argument))
+    return _bind(name, pos, _parse_items(ts, ")", _parse_argument))
 
 
 def _parse_argument(ts: _TokenStream) -> tuple[str | None, object]:
     key = None
-    if ts.kind == "name" and ts.toks[ts.i + 1].text == "=":
-        key = ts.advance().text
+    if ts.kind == "name" and ts.toks[ts.i + 1][1] == "=":
+        key = ts.advance()[1]
         ts.advance()  # '='
-    if ts.text in _SIGNATURES and ts.toks[ts.i + 1].text == "(":
+    if ts.text in _SIGNATURES and ts.toks[ts.i + 1][1] == "(":
         return key, _parse_recipe_call(ts)
     if ts.text == "[":
         ts.advance()
@@ -435,7 +431,7 @@ def _parse_argument(ts: _TokenStream) -> tuple[str | None, object]:
 def _parse_degree(ts: _TokenStream) -> tuple[str, int]:
     if ts.kind != "name":
         ts.fail("expected basis symbol")
-    name = ts.advance().text
+    name = ts.advance()[1]
     ts.expect_op(":", "expected ':'")
     sign = 1
     if ts.text == "-":

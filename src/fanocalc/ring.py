@@ -145,6 +145,9 @@ class VarietyModel:
         self.basis = tuple(basis)
         self.form = IntersectionForm(dimension, _freeze_entries(entries))
         self.aliases = dict(aliases or {})
+        # symbol -> basis index; a basis name beats an alias of the same spelling
+        self._index = {a: self.basis.index(t) for a, t in self.aliases.items() if t in self.basis}
+        self._index.update({b: i for i, b in enumerate(self.basis)})
         self.anticanonical = DivisorClass(self, anticanonical)
         self.ample_ref = DivisorClass(self, ample_ref)
         top = intersection_number(self, [self.ample_ref] * dimension)
@@ -156,12 +159,10 @@ class VarietyModel:
     # -- symbol handling ---------------------------------------------------
 
     def basis_index(self, symbol: str) -> int:
-        if symbol in self.basis:
-            return self.basis.index(symbol)
-        target = self.aliases.get(symbol)
-        if target in self.basis:
-            return self.basis.index(target)
-        raise UnknownSymbolError(f"unknown symbol {symbol!r} on model {self.name}")
+        i = self._index.get(symbol)
+        if i is None:
+            raise UnknownSymbolError(f"unknown symbol {symbol!r} on model {self.name}")
+        return i
 
     def zero(self) -> DivisorClass:
         return DivisorClass(self, (0,) * len(self.basis))
@@ -207,13 +208,13 @@ def _contract(
     Returns the rest of the form, the sorted key of the other n - k slots mapped
     to its value; a full contraction is keyed by ().  A full one walks the smaller
     side: the ordered index tuples of the factors' supports, each looked up as a
-    sorted key, or the stored keys.  Those are walked one slot at a time: v in
-    one slot leaves the symmetric form F(v, ...), so each key and each distinct
-    index i in it give the key less one i, weighted by v_i.  No factors: a copy.
+    sorted key, or the stored keys at about k steps each, walked one slot at a
+    time: v in one slot leaves the symmetric form F(v, ...), so each key and each
+    distinct index i in it give the key less one i, weighted by v_i.  No factors: a copy.
     """
     k = len(factors)
     full = k == len(next(iter(entries), ()))  # every stored key has n indices
-    if full and math.prod(map(len, factors)) <= len(entries) * math.factorial(k):
+    if full and math.prod(map(len, factors)) <= len(entries) * k:
         total = 0
         for indices in itertools.product(*factors):
             term = entries.get(tuple(sorted(indices)))
@@ -276,6 +277,9 @@ def _collect(terms: list[_Term]) -> list[_Term]:
 
 
 def _multiply(model: VarietyModel, a: list[_Term], b: list[_Term]) -> list[_Term]:
+    const, other = (a, b) if len(a) == 1 and not a[0][1] else (b, a)
+    if len(const) == 1 and not const[0][1]:  # a constant scales a collected list, kept collected
+        return [(const[0][0] * c, f) for c, f in other]
     out = []
     for ca, fa in a:
         for cb, fb in b:
@@ -292,7 +296,7 @@ def _walk(model: VarietyModel, e: pmod.ClassExpr, named: Mapping = {}) -> list[_
             return list(named[e.name])
         return [(1, ({model.basis_index(e.name): 1},))]
     if isinstance(e, pmod.Num):
-        return [(_exact(e.value), ())] if e.value else []
+        return [(e.value, ())] if e.value else []
     if isinstance(e, pmod.Neg):
         return [(-c, f) for c, f in _walk(model, e.arg, named)]
     if isinstance(e, (pmod.Add, pmod.Sub)):
@@ -332,12 +336,12 @@ def evaluate(model: VarietyModel, expr: Union[str, pmod.ClassExpr],
         if name in model.basis or name in model.aliases:
             raise GeometryError(f"class name {name!r} is a symbol of model {model.name}")
         named[name] = _collect([(1, (_sparse(model.divisor(c).coeffs),))])  # 0 has no term
-    total = Fraction(0)
+    total = 0
     for c, factors in _walk(model, ast, named):
         if len(factors) != model.dimension:
             raise DegreeError(f"expression is not of degree {model.dimension} on {model.name}")
         total += c * _contract(model.form.entries, factors).get((), 0)
-    return total
+    return Fraction(total)
 
 
 # --------------------------------------------------------------------------

@@ -66,6 +66,16 @@ class TestClassExpr:
         assert a == b and a is not b
         assert hash(a) == hash(b) and len({a, b}) == 1
 
+    @pytest.mark.parametrize("text, value, printed", [
+        ("2", 2, "2"),
+        ("4/2", 2, "2"),
+        ("1/2", Fraction(1, 2), "1/2"),
+    ])
+    def test_integral_literal_is_an_int(self, text, value, printed):
+        num = parse_class_expr(text)
+        assert type(num.value) is type(value) and num.value == value
+        assert pretty_print(num) == printed
+
 
 class TestErrors:
     def test_error_carries_offset(self):
@@ -120,6 +130,26 @@ class TestTokenLimits:
         with pytest.raises(ParseError, match=re.escape(message)) as exc:
             parse_class_expr(text)
         assert exc.value.offset == offset
+
+
+# tokens of both grammars, the Unicode minus and spaces, joined at random
+_token_heavy = st.lists(st.sampled_from(
+    ["0", "1", "2", "9", "H", "E1", "zeta", " ", "\u2212", *"+-*/^()[]{}=,:"]
+), max_size=40).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_token_heavy)
+def test_tokens_start_at_their_offsets(text):
+    *toks, end = pmod._tokenize(text)
+    for kind, tok, pos in toks:
+        assert text[pos:pos + len(tok)].replace("\u2212", "-") == tok, (kind, tok, pos)
+    assert "".join(tok for _, tok, _ in toks) == text.replace(" ", "").replace("\u2212", "-")
+    assert end == ("eof", "", len(text))
+    try:
+        parse_class_expr(text)
+    except ParseError as exc:
+        assert 0 <= exc.offset <= len(text.encode())
 
 
 class TestFamilyId:

@@ -43,6 +43,13 @@ class TestProjectiveSpace:
     def test_alias(self):
         assert P(3).evaluate("L^3") == 1
 
+    def test_basis_name_beats_alias(self):
+        m = ring.VarietyModel("X", 1, ["H", "E"], {(0,): 1}, [2, 0], [1, 0],
+                              aliases={"E": "H", "L": "H", "M": "missing"})
+        assert (m.basis_index("E"), m.basis_index("L")) == (1, 0)
+        with pytest.raises(UnknownSymbolError, match="unknown symbol 'M' on model X"):
+            m.basis_index("M")
+
     def test_anticanonical(self):
         m = P(3)
         assert m.anticanonical == m.divisor("4*H")
@@ -273,6 +280,25 @@ class TestBlowup:
             model.evaluate(text)
             counts.append(len(calls))
         assert counts[1] <= counts[0]
+
+    @pytest.mark.parametrize("text, outside, value", [
+        ("(2*(H-E1-E2-E3))^3", "8*(H-E1-E2-E3)^3", -16),
+        ("(2*H-E1)^3*1", "(2*H-E1)^3", 7),
+        ("3*(2*H-E1)^3", "(2*H-E1)^2*(3*(2*H-E1))", 21),
+    ])
+    def test_scaled_power_is_one_product(self, monkeypatch, text, outside, value):
+        model = blowup_points(P(3), 3)
+        assert model.evaluate(outside) == value
+        calls = []
+        contract = ring._contract
+
+        def counting_contract(entries, factors):
+            calls.append(len(factors))
+            return contract(entries, factors)
+
+        monkeypatch.setattr(ring, "_contract", counting_contract)
+        assert model.evaluate(text) == value
+        assert calls == [3]
 
     def test_curve_blowup_line(self):
         m = make_blowup(P(3), 0, {"H": 1})
