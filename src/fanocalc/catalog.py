@@ -11,6 +11,7 @@ class on the final threefold.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -20,20 +21,6 @@ from .errors import GeometryError, NoRecipeError, UnknownFamilyError, Unsupporte
 from .parser import FamilyId, parse_family_id
 
 DATA_ENV_VAR = "FANOCALC_DATA"
-
-
-class FanoFamilyRecord(NamedTuple):
-    id: FamilyId
-    rho: int
-    index: Optional[int]
-    epsilon: Optional[Fraction]
-    eps_status: str  # 'known' | 'open'
-    dp_degrees: frozenset[int]
-    non_bpf: bool
-    clubsuit: Optional[bool]
-    ci_center: Optional[bool]
-    ell: Optional[int]
-    description: str
 
 
 def _parse_bool(text: str) -> bool:
@@ -54,13 +41,13 @@ def _opt(parse):
     return lambda text: None if text == "?" else parse(text)
 
 
-# the TSV columns, in header and FanoFamilyRecord field order, each with its cell parser
+# the TSV columns in header order, each with its cell parser; the record's fields follow them
 _COLUMNS = {
     "id": parse_family_id,
     "rho": int,
     "index": _opt(int),
     "epsilon": _opt(_parse_epsilon),
-    "eps_status": str,
+    "eps_status": str,  # 'known' | 'open'
     "dp_degrees": lambda text: frozenset(() if text == "-" else map(int, text.split(","))),
     "non_bpf": _parse_bool,
     "clubsuit": _opt(_parse_bool),
@@ -68,6 +55,7 @@ _COLUMNS = {
     "ell": _opt(int),
     "description": str,
 }
+FanoFamilyRecord = namedtuple("FanoFamilyRecord", _COLUMNS)
 
 
 def _parse_record(line: str) -> FanoFamilyRecord:
@@ -143,14 +131,13 @@ class FamilyRecipe(NamedTuple):
     With a ``pencil``, ``middle`` describes Y and ``pencil`` the class L on
     Y: the center is the complete intersection of two members of |L| and
     D1 = f*L - E.  Otherwise ``middle`` describes the threefold itself and
-    ``d1`` names D1.  Either way the splitting is (D1, -K - D1).
+    ``d1`` names D1.  Either way the splitting is (D1, -K - D1).  D1 is free;
+    so is D2 unless ``nef_big_second`` declares it only nef and big.
     """
 
     middle: str
     pencil: Optional[str] = None
     d1: Optional[str] = None
-    triple: Optional[tuple[str, str, str]] = None
-    free: tuple[bool, bool] = (True, True)
     nef_big_second: bool = False
 
 
@@ -163,66 +150,39 @@ class RealizedFamily(NamedTuple):
     d2: ring.DivisorClass
     free: tuple[bool, bool]
     nef_big_second: bool
-    triple: Optional[tuple[ring.DivisorClass, ...]]
 
 
 RECIPES: dict[FamilyId, FamilyRecipe] = {
     parse_family_id(text): recipe
     for text, recipe in {
-        "2.1": FamilyRecipe("dp3(1)", pencil="H", free=(True, False), nef_big_second=True),
+        "2.1": FamilyRecipe("dp3(1)", pencil="H", nef_big_second=True),
         "2.2": FamilyRecipe("double_cover(prod(P(1),P(2)), half_branch=H1+2*H2)", d1="H1"),
         "2.3": FamilyRecipe("double_cover(P(3), half_branch=2*H)", pencil="H"),
         "2.4": FamilyRecipe("P(3)", pencil="3*H"),
         "2.5": FamilyRecipe("divisor_in(P(4), 3*H)", pencil="H"),
-        "3.1": FamilyRecipe(
-            "double_cover(prod(P(1),P(1),P(1)), half_branch=H1+H2+H3)",
-            d1="H1",
-            triple=("H1", "H2", "H3"),
-        ),
-        "3.2": FamilyRecipe(
-            "divisor_in(bundle(prod(P(1),P(1)), summands=[0, -H1-H2, -H1-H2]),"
-            " 2*zeta+2*H1+3*H2)",
-            d1="H1",
-        ),
-        "3.3": FamilyRecipe(
-            "divisor_in(prod(P(1),P(1),P(2)), H1+H2+2*H3)",
-            d1="H1",
-            triple=("H1", "H2", "H3"),
-        ),
+        "3.1": FamilyRecipe("double_cover(prod(P(1),P(1),P(1)), half_branch=H1+H2+H3)", d1="H1"),
+        "3.2": FamilyRecipe("divisor_in(bundle(prod(P(1),P(1)), summands=[0, -H1-H2, -H1-H2]),"
+                            " 2*zeta+2*H1+3*H2)", d1="H1"),
+        "3.3": FamilyRecipe("divisor_in(prod(P(1),P(1),P(2)), H1+H2+2*H3)", d1="H1"),
         "3.4": FamilyRecipe("double_cover(prod(P(1),P(2)), half_branch=H1+H2)", pencil="H2"),
-        "3.5": FamilyRecipe(
-            "blowup_curve(prod(P(1),P(2)), genus=0, degrees={H1:5, H2:2})", d1="H1+3*H2-E"
-        ),
+        "3.5": FamilyRecipe("blowup_curve(prod(P(1),P(2)), genus=0, degrees={H1:5, H2:2})",
+                            d1="H1+3*H2-E"),
         "3.7": FamilyRecipe("divisor_in(prod(P(2),P(2)), H1+H2)", pencil="H1+H2"),
-        "3.8": FamilyRecipe(
-            "divisor_in(prod(blowup_point(P(2), count=1), P(2)), H1+2*H2)", d1="2*H1-E1"
-        ),
+        "3.8": FamilyRecipe("divisor_in(prod(blowup_point(P(2), count=1), P(2)), H1+2*H2)",
+                            d1="2*H1-E1"),
         "3.11": FamilyRecipe("blowup_point(P(3), count=1)", pencil="2*L-E"),
-        "3.17": FamilyRecipe(
-            "divisor_in(prod(P(1),P(1),P(2)), H1+H2+H3)",
-            d1="H1",
-            triple=("H1", "H2", "2*H3"),
-        ),
+        "3.17": FamilyRecipe("divisor_in(prod(P(1),P(1),P(2)), H1+H2+H3)", d1="H1"),
         "3.19": FamilyRecipe("blowup_point(divisor_in(P(4), 2*H), count=2)", d1="H"),
         "3.24": FamilyRecipe("divisor_in(prod(P(2),P(2)), H1+H2)", pencil="H2"),
         "3.26": FamilyRecipe("blowup_point(P(3), count=1)", pencil="L"),
         "3.31": FamilyRecipe("bundle(prod(P(1),P(1)), summands=[0, H1+H2])", d1="2*zeta"),
-        "4.1": FamilyRecipe(
-            "divisor_in(prod(P(1),P(1),P(1),P(1)), H1+H2+H3+H4)",
-            d1="H1",
-            triple=("H1", "H2", "H3+H4"),
-        ),
+        "4.1": FamilyRecipe("divisor_in(prod(P(1),P(1),P(1),P(1)), H1+H2+H3+H4)", d1="H1"),
         "4.4": FamilyRecipe("blowup_point(divisor_in(P(4), 2*H), count=2)", pencil="H-E1-E2"),
-        "4.9": FamilyRecipe(
-            "blowup_curve(blowup_curve(P(3), genus=0, degrees={H:1}),"
-            " genus=0, degrees={H:0, E1:-1})",
-            pencil="L",
-        ),
+        "4.9": FamilyRecipe("blowup_curve(blowup_curve(P(3), genus=0, degrees={H:1}),"
+                            " genus=0, degrees={H:0, E1:-1})", pencil="L"),
         "5.1": FamilyRecipe("blowup_point(divisor_in(P(4), 2*H), count=3)", pencil="H-E1-E2-E3"),
-        "10.1": FamilyRecipe(
-            "prod(P(1), blowup_point(P(2), count=8))", d1="H1", free=(True, False),
-            nef_big_second=True,
-        ),
+        "10.1": FamilyRecipe("prod(P(1), blowup_point(P(2), count=8))", d1="H1",
+                             nef_big_second=True),
     }.items()
 }
 
@@ -269,7 +229,6 @@ def realize_recipe(family: FamilyId) -> RealizedFamily:
         model = ring.make_blowup(middle, *center)
         d1 = ring.DivisorClass(model, pencil.coeffs + (-1,))
     d2 = model.anticanonical - d1
-    triple = None if rec.triple is None else tuple(model.divisor(t) for t in rec.triple)
     return RealizedFamily(
-        middle, model, pencil, center, d1, d2, rec.free, rec.nef_big_second, triple
+        middle, model, pencil, center, d1, d2, (True, not rec.nef_big_second), rec.nef_big_second
     )

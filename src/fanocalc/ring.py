@@ -484,22 +484,17 @@ def _blown_up(ambient: VarietyModel, count: int, entries: Mapping, k_coeff: int)
 
 def make_blowup(
     ambient: VarietyModel,
-    genus: Optional[int] = None,
-    degrees: Union[Mapping[str, int], Iterable[tuple[str, int]], None] = None,
+    genus: int,
+    degrees: Union[Mapping[str, int], Iterable[tuple[str, int]]],
 ) -> VarietyModel:
-    """Blow-up at a point, or along a smooth curve when ``degrees`` is given.
+    """Blow-up along a smooth curve C; a point center is ``blowup_points(ambient, 1)``.
 
-    A point center is ``blowup_points(ambient, 1)``.  ``degrees`` records D·C
-    for ambient basis classes D, as a mapping or as (name, degree) pairs;
-    omitted names default to zero.  Degrees may be negative (strict-transform
-    bookkeeping for centers inside an earlier exceptional divisor).  The
-    reference class is the ambient one pulled back, which contracts E, so it
-    is not ample on the blow-up.
+    ``degrees`` records D·C for ambient basis classes D, as a mapping or as
+    (name, degree) pairs; omitted names default to zero.  Degrees may be
+    negative (strict-transform bookkeeping for centers inside an earlier
+    exceptional divisor).  The reference class is the ambient one pulled back,
+    which contracts E, so it is not ample on the blow-up.
     """
-    if degrees is None:
-        if genus is not None:
-            raise GeometryError("point centers carry no genus")
-        return blowup_points(ambient, 1)
     if genus is None or genus < 0:
         raise GeometryError("curve centers need a nonnegative genus")
     n = ambient.dimension

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fanocalc import catalog, ring
+from fanocalc import catalog, classify, ring
 from fanocalc.cli import main
 from fanocalc.catalog import (
     RECIPES,
@@ -128,10 +128,6 @@ def test_bad_header_rejected(tmp_path, monkeypatch):
         load_catalog()
 
 
-def test_columns_follow_the_record_fields():
-    assert list(catalog._COLUMNS) == list(catalog.FanoFamilyRecord._fields)
-
-
 # one rule per row: a known epsilon is a number, an open one is '?', the status
 # is one of the two, non_bpf is a boolean like every other flag, rho is the
 # id's rank, epsilon is p or p/q with p, q >= 1, and no id comes twice
@@ -237,11 +233,17 @@ class TestRecipes:
             ci_curve_center(p3, ring.blowup_points(p3, 1).divisor("H"))
 
     def test_recorded_triples(self):
-        for text in ("3.1", "3.3", "3.17", "4.1"):
-            real = realize_recipe(parse_family_id(text))
-            assert real.triple is not None
-            total = real.triple[0] + real.triple[1] + real.triple[2]
-            assert total == real.model.anticanonical
+        assert [str(f) for f in classify._TRIPLES] == ["3.1", "3.3", "3.17", "4.1"]
+        for fid, total in classify._TRIPLES.items():
+            model = realize_recipe(fid).model
+            assert model.divisor(total) == model.anticanonical
+
+    def test_one_freeness_declaration(self):
+        # D1 is free in every recipe, and D2 too unless the recipe declares it only nef and big
+        assert {str(f) for f, rec in RECIPES.items() if rec.nef_big_second} == {"2.1", "10.1"}
+        for fid, rec in RECIPES.items():
+            assert realize_recipe(fid).free == (True, not rec.nef_big_second)
+            assert (rec.pencil is None) != (rec.d1 is None), fid
 
     @pytest.mark.parametrize("fid, cube", zip(RECIPES, MORI_MUKAI_CUBES))
     def test_recipe_invariants_match_the_catalog(self, fid, cube):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fanocalc import catalog, classify
 from fanocalc.cli import main
-from fanocalc.parser import parse_family_id, pretty_print
+from fanocalc.parser import parse_class_expr, parse_family_id, pretty_print
 
 from test_parser import _exprs
 
@@ -293,18 +293,12 @@ class TestVerify:
 
 
     def test_bad_triple_is_a_fail_line(self, capsys, monkeypatch):
-        fid = parse_family_id("3.1")
-        bad = catalog.RECIPES[fid]._replace(triple=("H1", "H2", "H2"))
-        monkeypatch.setitem(catalog.RECIPES, fid, bad)
-        catalog.realize_recipe.cache_clear()
-        try:
-            report = classify.verify_paper()
-            (check,) = [c for c in report.checks
-                        if c.name == "triple-3.1-sums-to-anticanonical"]
-            assert not check.passed and not report.ok
-            code, out, _ = run(capsys, "verify")
-        finally:
-            catalog.realize_recipe.cache_clear()
+        bad = parse_class_expr("H1+H2+H2")
+        monkeypatch.setitem(classify._TRIPLES, parse_family_id("3.1"), bad)
+        report = classify.verify_paper()
+        (check,) = [c for c in report.checks if c.name == "triple-3.1-sums-to-anticanonical"]
+        assert not check.passed and not report.ok
+        code, out, _ = run(capsys, "verify")
         assert code == 1
         assert "CHECK triple-3.1-sums-to-anticanonical" in out and out.count("FAIL") == 1
 

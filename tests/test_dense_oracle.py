@@ -353,7 +353,7 @@ def test_point_blowups_match_dense_builder():
         model = model_from_recipe(recipe)
         for _ in range(count):
             expected = dense_blowup_entries(model)
-            model = make_blowup(model)
+            model = blowup_points(model, 1)
             assert model.form.entries == expected
 
 
@@ -377,7 +377,7 @@ def test_one_shot_point_blowups_match_chained_ones(recipe, count):
     chained = ambient
     for k in range(1, count + 1):
         expected = dense_blowup_entries(chained)
-        chained = make_blowup(chained)
+        chained = blowup_points(chained, 1)
         assert chained.form.entries == expected
         assert _fields(blowup_points(ambient, k)) == _fields(chained)
     assert chained.name == "Bl(" * count + ambient.name + ")" * count

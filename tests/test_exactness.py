@@ -16,6 +16,9 @@ One verification path: ``classify.verify_paper`` names neither
 ``intersection_number`` nor ``fibration_degree``, so each of its numeric
 checks is a row of its expression table.
 
+Recipes hold construction only: ``catalog.realize_recipe`` reads every
+field of ``FamilyRecipe``, so no field there is read by ``verify`` alone.
+
 One-slot contractions: ``ring._contract`` does not name ``permutations``,
 so the stored keys are walked one slot at a time and not over their orderings.
 
@@ -117,6 +120,12 @@ def names_in(module, function):
 
 def test_verify_paper_computes_through_its_rows():
     assert names_in("classify", "verify_paper").isdisjoint({"intersection_number", "fibration_degree"})
+
+
+def test_realize_recipe_reads_every_recipe_field():
+    fields = fanocalc.catalog.FamilyRecipe._fields
+    assert fields == ("middle", "pencil", "d1", "nef_big_second")
+    assert set(fields) <= names_in("catalog", "realize_recipe")
 
 
 def test_contract_walks_one_slot_at_a_time():
