@@ -98,50 +98,37 @@ ClassExpr = Union[Sym, Num, Neg, Add, Sub, Mul, Pow]
 
 
 # --------------------------------------------------------------------------
-# pretty printer (structural round-trip with parse_class_expr)
+# binding and pretty printer (structural round-trip with parse_class_expr)
 # --------------------------------------------------------------------------
+
+# How tightly the nodes bind, loosest first, each with the operator it prints: the binary
+# operators level by level, then prefix minus, the power and the atoms.  The parser's loop
+# for each binary level reads that level's operator -> node map.
+_LEVELS = ({Add: "+", Sub: "-"}, {Mul: "*"}, {Neg: "-"}, {Pow: "^"}, {Sym: "", Num: ""})
+_BINDING = {node: (level, op) for level, ops in enumerate(_LEVELS) for node, op in ops.items()}
+_SUM_OPS, _PRODUCT_OPS = ({op: node for node, op in ops.items()} for ops in _LEVELS[:2])
 
 
 def pretty_print(expr: ClassExpr) -> str:
-    return _pp(expr)
+    """Text that parses back to ``expr``, with only the parentheses its binding needs."""
+    try:
+        level, op = _BINDING[type(expr)]
+    except KeyError:
+        raise TypeError(f"not a class expression: {expr!r}") from None
+    if not op:
+        return str(expr._values()[0])  # a symbol's name or a number's value
+    if type(expr) is Neg:
+        return op + _operand(expr.arg, level)
+    if type(expr) is Pow:  # the base is an atom or a group: "H^2^3" does not parse
+        return f"{_operand(expr.base, level + 1)}{op}{expr.exp}"
+    # the binary operators fold to the left, so the right operand binds one level tighter
+    return _operand(expr.left, level) + op + _operand(expr.right, level + 1)
 
 
-def _is_atomic(e: ClassExpr) -> bool:
-    return isinstance(e, (Sym, Num))
-
-
-def _pp(e: ClassExpr) -> str:
-    if isinstance(e, Sym):
-        return e.name
-    if isinstance(e, Num):
-        return str(e.value)
-    if isinstance(e, Neg):
-        inner = e.arg
-        s = _pp(inner)
-        if isinstance(inner, (Add, Sub, Mul)):
-            s = f"({s})"
-        return f"-{s}"
-    if isinstance(e, Pow):
-        b = _pp(e.base)
-        if not _is_atomic(e.base):
-            b = f"({b})"
-        return f"{b}^{e.exp}"
-    if isinstance(e, Mul):
-        l = _pp(e.left)
-        if isinstance(e.left, (Add, Sub)):
-            l = f"({l})"
-        r = _pp(e.right)
-        if isinstance(e.right, (Add, Sub, Mul)):
-            r = f"({r})"
-        return f"{l}*{r}"
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        l = _pp(e.left)
-        r = _pp(e.right)
-        if isinstance(e.right, (Add, Sub)):
-            r = f"({r})"
-        return f"{l}{op}{r}"
-    raise TypeError(f"not a class expression: {e!r}")
+def _operand(expr: ClassExpr, needs: int) -> str:
+    """``expr`` printed in a slot that needs binding level ``needs``, grouped if looser."""
+    text = pretty_print(expr)
+    return f"({text})" if _BINDING[type(expr)][0] < needs else text
 
 
 # --------------------------------------------------------------------------
@@ -224,18 +211,17 @@ def parse_class_expr(text: str) -> ClassExpr:
 
 def _parse_expr(ts: _TokenStream) -> ClassExpr:
     node = _parse_term(ts)
-    while ts.text in ("+", "-"):
-        op = ts.advance()[1]
-        rhs = _parse_term(ts)
-        node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+    while ts.text in _SUM_OPS:
+        make = _SUM_OPS[ts.advance()[1]]
+        node = make(node, _parse_term(ts))
     return node
 
 
 def _parse_term(ts: _TokenStream) -> ClassExpr:
     node = _parse_factor(ts)
-    while ts.text == "*":
-        ts.advance()
-        node = Mul(node, _parse_factor(ts))
+    while ts.text in _PRODUCT_OPS:
+        make = _PRODUCT_OPS[ts.advance()[1]]
+        node = make(node, _parse_factor(ts))
     return node
 
 

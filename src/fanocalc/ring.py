@@ -211,6 +211,8 @@ def _contract(
     sorted key, or the stored keys at about k steps each, walked one slot at a
     time: v in one slot leaves the symmetric form F(v, ...), so each key and each
     distinct index i in it give the key less one i, weighted by v_i.  No factors: a copy.
+    The product walk bounds a sparse query on a large model: walking the stored keys
+    alone made H1^2*H2^2 on the product of two Bl_62 P^2 about 50 times slower.
     """
     k = len(factors)
     full = k == len(next(iter(entries), ()))  # every stored key has n indices

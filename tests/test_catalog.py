@@ -145,9 +145,10 @@ def test_bad_header_rejected(tmp_path, monkeypatch):
     ("3.2\t3\t1\t3/2\t", "3.2\t3\t1\t3/0\t", "bad epsilon field '3/0'"),
     ("1.4\t1\t1\t2\tknown\t", "1.4\t1\t1\t-2\tknown\t", "bad epsilon field '-2'"),
     ("\n1.5\t", "\n1.4\t", "duplicate catalog id 1.4"),
+    ("1.1\t1\t1\t?\topen\t-\tfalse\tfalse\t?\t?\t", "1.1\t1\t1\t?\t", "bad catalog row: "),
 ], ids=["known-without-number", "open-with-number", "unknown-status", "non-boolean-non-bpf",
         "rho-off-the-id", "epsilon-exponent", "epsilon-zero-denominator", "epsilon-negative",
-        "duplicate-id"])
+        "duplicate-id", "five-cells"])
 def test_inconsistent_row_rejected(capsys, tmp_path, monkeypatch, row, tampered, message):
     with open(catalog.data_path(), encoding="utf-8") as fh:
         text = fh.read()
@@ -158,7 +159,7 @@ def test_inconsistent_row_rejected(capsys, tmp_path, monkeypatch, row, tampered,
     with pytest.raises(ValueError, match=re.escape(message)):
         load_catalog()
     assert main(["family", "1.1"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 class TestRecipes:

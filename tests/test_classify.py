@@ -257,6 +257,17 @@ class TestDpFibrationSets:
         with pytest.raises(ValueError):
             families_with_dp_fibration(4)
 
+    def test_catalog_off_the_table_is_loud(self, tmp_path, monkeypatch):
+        with open(catalog.data_path(), encoding="utf-8") as fh:
+            text = fh.read()
+        tampered = text.replace("2.3\t2\t1\t4/3\tknown\t2\t", "2.3\t2\t1\t4/3\tknown\t-\t")
+        assert tampered != text
+        alt = tmp_path / "families.tsv"
+        alt.write_text(tampered, encoding="utf-8")
+        monkeypatch.setenv(catalog.DATA_ENV_VAR, str(alt))
+        with pytest.raises(InconsistentModelError, match="catalog dp-fibration set for degree 2 is off"):
+            families_with_dp_fibration(2)
+
 
 class TestVerifyPaper:
     def test_all_checks_pass(self):

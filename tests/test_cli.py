@@ -370,7 +370,10 @@ class TestUsage:
         (["list", "--rho", "0"],
          "usage: fanocalc list [-h] [--epsilon EPSILON] [--dp DP] [--rho RHO] [--json]\n"
          "fanocalc list: error: argument --rho: must be positive: 0\n"),
-    ], ids=["deg_without_expr", "list_rho_zero"])
+        (["list", "--rho", "x"],
+         "usage: fanocalc list [-h] [--epsilon EPSILON] [--dp DP] [--rho RHO] [--json]\n"
+         "fanocalc list: error: argument --rho: not an integer: 'x'\n"),
+    ], ids=["deg_without_expr", "list_rho_zero", "list_rho_not_an_integer"])
     def test_usage_error_text(self, capsys, monkeypatch, argv, err):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
         assert run(capsys, *argv) == (2, "", err)

@@ -22,6 +22,9 @@ field of ``FamilyRecipe``, so no field there is read by ``verify`` alone.
 One-slot contractions: ``ring._contract`` does not name ``permutations``,
 so the stored keys are walked one slot at a time and not over their orderings.
 
+One statement of the binding: ``parser._BINDING`` ranks every class-expression
+node, and ``parser.pretty_print`` parenthesises by rank, naming no ``isinstance``.
+
 The package binds only its modules and ``parse_family_id``.
 """
 
@@ -29,6 +32,7 @@ import ast
 import subprocess
 import sys
 import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -130,6 +134,11 @@ def test_realize_recipe_reads_every_recipe_field():
 
 def test_contract_walks_one_slot_at_a_time():
     assert "permutations" not in names_in("ring", "_contract")
+
+
+def test_printer_reads_the_binding_table():
+    assert set(fanocalc.parser._BINDING) == set(typing.get_args(fanocalc.parser.ClassExpr))
+    assert "isinstance" not in names_in("parser", "pretty_print")
 
 
 def test_package_binds_only_its_modules():

@@ -25,6 +25,8 @@ from fanocalc.parser import (
 from fanocalc import parser as pmod
 from fanocalc import ring
 
+H, E = Sym("H"), Sym("E")
+
 
 class TestClassExpr:
     def test_simple_sum(self):
@@ -75,6 +77,26 @@ class TestClassExpr:
         num = parse_class_expr(text)
         assert type(num.value) is type(value) and num.value == value
         assert pretty_print(num) == printed
+
+    # one case per parenthesisation rule; the round trip alone would accept extra groups
+    @pytest.mark.parametrize("expr, printed", [
+        (Neg(Add(H, E)), "-(H+E)"),
+        (Neg(Mul(Num(2), H)), "-(2*H)"),
+        (Neg(Neg(H)), "--H"),
+        (Neg(Pow(H, 2)), "-H^2"),
+        (Pow(Neg(H), 2), "(-H)^2"),
+        (Pow(Pow(H, 2), 3), "(H^2)^3"),
+        (Pow(Num(Fraction(1, 2)), 3), "1/2^3"),
+        (Mul(Add(H, E), Mul(H, E)), "(H+E)*(H*E)"),
+        (Mul(Mul(H, E), Neg(E)), "H*E*-E"),
+        (Sub(Add(H, E), Sub(H, E)), "H+E-(H-E)"),
+        (Add(Sub(H, E), Mul(H, E)), "H-E+H*E"),
+        (Mul(Num(Fraction(1, 2)), H), "1/2*H"),
+        (Sub(H, Neg(E)), "H--E"),
+    ])
+    def test_printed_text(self, expr, printed):
+        assert pretty_print(expr) == printed
+        assert parse_class_expr(printed) == expr
 
 
 class TestErrors:

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanocalc import parser, ring
+from fanocalc import classify, parser, ring
 from fanocalc.catalog import RECIPES, realize_recipe
 from fanocalc.errors import (
     DegreeError,
@@ -430,6 +430,23 @@ class TestDivisorClassArithmetic:
         m = blowup_points(P(3), 2)
         assert str(m.divisor("3*H-E1-2*E2")) == "3*H-E1-2*E2"
 
+    @pytest.mark.parametrize("recipe", [
+        "P(3)",
+        "blowup_point(P(3), count=3)",
+        "prod(P(1),P(1),P(1))",
+        "bundle(prod(P(1),P(1)), summands=[0, H1+H2])",
+        "divisor_in(P(4), 2*H)",
+        "prod(blowup_point(P(2), count=1), blowup_point(P(2), count=1))",  # H1, E11, H2, E12
+    ])
+    def test_str_parses_back(self, recipe):
+        m = model_from_recipe(recipe)
+        rng = random.Random(recipe)
+        coefficients = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]
+        for _ in range(60):
+            c = DivisorClass(m, [rng.choice(coefficients) for _ in m.basis])
+            assert m.divisor(str(c)) == c, str(c)
+        assert str(m.zero()) == "0"
+
     def test_only_linear_expressions_are_classes(self):
         m = P(3)
         assert m.divisor("0") == m.divisor("H-H") == m.zero()
@@ -480,6 +497,41 @@ class TestExactRepresentation:
         (value,) = m.form.entries.values()
         assert type(value) is Fraction and value == Fraction(1, 2)
         assert m.evaluate("(1/3*H)^3") == Fraction(1, 54)
+
+
+_P2, _P3 = P(2), P(3)
+_H = _P3.divisor("H")
+_OTHER_H = P(3).divisor("H")  # a class of another P(3)
+
+
+# error branches that no other test runs, each with its type and message
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: intersection_number(_P3, [_H, _H]), DegreeError, "expected 3 classes, got 2"),
+    (lambda: intersection_number(_P3, [_H, _H, "H"]), TypeError, "expected a divisor class, got 'H'"),
+    (lambda: intersection_number(_P3, [_H, _H, _OTHER_H]), ForeignClassError,
+     "divisor class belongs to a different model"),
+    (lambda: _H + 1, TypeError, "expected a divisor class, got 1"),
+    (lambda: make_projective_bundle(_P2, [_P2.zero(), _H]), ForeignClassError,
+     "summand classes must live on the base model"),
+    (lambda: make_double_cover(_P3, _OTHER_H), ForeignClassError,
+     "half branch class must live on the base model"),
+    (lambda: make_divisor_in(P(4), P(4).divisor("2*H")), ForeignClassError,
+     "hypersurface class must live on the ambient model"),
+    (lambda: classify.pencil_check(_P2, _P2.divisor("H")), UnsupportedDimensionError,
+     "pencil test requires a threefold"),
+    (lambda: classify.fibration_degree(_P2, _P2.divisor("H")), UnsupportedDimensionError,
+     "fibration degree requires a threefold"),
+    (lambda: _P3.form.value((0, 0)), DegreeError, "expected 3 indices, got 2"),
+    (lambda: ring.evaluate(_P3, 5), TypeError, "not a class expression: 5"),
+    (lambda: parser.pretty_print(5), TypeError, "not a class expression: 5"),
+    (lambda: setattr(_H, "coeffs", (2,)), AttributeError, "DivisorClass is immutable"),
+], ids=["too-few-classes", "not-a-class", "foreign-class", "class-plus-int", "foreign-summand",
+        "foreign-half-branch", "foreign-hypersurface", "pencil-on-surface", "fibration-on-surface",
+        "form-value-arity", "evaluate-non-expression", "print-non-expression", "immutable-class"])
+def test_error_branch(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
