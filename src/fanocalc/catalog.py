@@ -2,10 +2,10 @@
 
 The family universe (105 deformation families keyed by ``rho.N``) ships as a
 plain TSV data file so it can be reviewed and diffed.  On top of the raw
-records this module curates construction recipes for the families whose
+records a second TSV curates construction recipes for the families whose
 numeric invariants the package recomputes from scratch: a middle variety Y,
 a pencil class L, the blow-up center, and a splitting of the anticanonical
-class on the final threefold.
+class on the final threefold.  It is read and parsed once, on first use.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from . import ring
 from .errors import GeometryError, NoRecipeError, UnknownFamilyError, UnsupportedDimensionError
-from .parser import FamilyId, parse_family_id
+from .parser import Call, ClassExpr, FamilyId, parse_class_expr, parse_family_id, parse_recipe
 
 DATA_ENV_VAR = "FANOCALC_DATA"
 
@@ -36,9 +36,9 @@ def _parse_epsilon(text: str) -> Fraction:
     return Fraction(*map(int, parts))
 
 
-def _opt(parse):
-    """``parse`` for a cell that may also be '?', which reads as None."""
-    return lambda text: None if text == "?" else parse(text)
+def _opt(parse, absent="?"):
+    """``parse`` for a cell that may also be ``absent``, which reads as None."""
+    return lambda text: None if text == absent else parse(text)
 
 
 # the TSV columns in header order, each with its cell parser; the record's fields follow them
@@ -58,18 +58,33 @@ _COLUMNS = {
 FanoFamilyRecord = namedtuple("FanoFamilyRecord", _COLUMNS)
 
 
-def _parse_record(line: str) -> FanoFamilyRecord:
-    cells = line.rstrip("\n").split("\t")
-    if len(cells) != len(_COLUMNS):
-        raise ValueError(f"bad catalog row: {line!r}")
-    rec = FanoFamilyRecord(*(parse(text) for parse, text in zip(_COLUMNS.values(), cells)))
+def _read_table(path: str, columns: dict, what: str, make) -> dict:
+    """The records of a TSV file headed by ``columns``, by id in file order; ``make`` checks
+    a row's cells and their values, parsed by column, and returns its (id, record)."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0].split("\t") != list(columns):
+        raise ValueError(f"{what} file {path} has an unexpected header")
+    by_id: dict = {}
+    for line in filter(str.strip, lines[1:]):
+        cells = line.split("\t")
+        if len(cells) != len(columns):
+            raise ValueError(f"bad {what} row: {line!r}")
+        fid, rec = make([parse(text) for parse, text in zip(columns.values(), cells)], cells)
+        if by_id.setdefault(fid, rec) is not rec:
+            raise ValueError(f"duplicate {what} id {fid}")
+    return by_id
+
+
+def _family_row(values: list, cells: list[str]) -> tuple[FamilyId, FanoFamilyRecord]:
+    rec = FanoFamilyRecord(*values)
     if rec.rho != rec.id.rho:
         raise ValueError(f"row {rec.id}: rho {cells[1]!r} does not fit the id")
     if (rec.eps_status, rec.epsilon is None) not in (("known", False), ("open", True)):
         raise ValueError(  # known: a number, open: '?'
             f"row {rec.id}: status {rec.eps_status!r} does not fit epsilon {cells[3]!r}"
         )
-    return rec
+    return rec.id, rec
 
 
 _SHIPPED_DATA = os.path.join(os.path.dirname(__file__), "data", "fano_families.tsv")
@@ -82,16 +97,7 @@ def data_path() -> str:
 
 @lru_cache(maxsize=None)
 def _load(path: str) -> dict[FamilyId, FanoFamilyRecord]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].split("\t") != list(_COLUMNS):
-        raise ValueError(f"catalog file {path} has an unexpected header")
-    by_id: dict[FamilyId, FanoFamilyRecord] = {}
-    for rec in sorted((_parse_record(line) for line in lines[1:] if line.strip()),
-                      key=lambda r: r.id):
-        if by_id.setdefault(rec.id, rec) is not rec:
-            raise ValueError(f"duplicate catalog id {rec.id}")
-    return by_id
+    return dict(sorted(_read_table(path, _COLUMNS, "catalog", _family_row).items()))
 
 
 def load_catalog() -> dict[FamilyId, FanoFamilyRecord]:
@@ -135,9 +141,9 @@ class FamilyRecipe(NamedTuple):
     so is D2 unless ``nef_big_second`` declares it only nef and big.
     """
 
-    middle: str
-    pencil: Optional[str] = None
-    d1: Optional[str] = None
+    middle: Call
+    pencil: Optional[ClassExpr] = None
+    d1: Optional[ClassExpr] = None
     nef_big_second: bool = False
 
 
@@ -152,39 +158,30 @@ class RealizedFamily(NamedTuple):
     nef_big_second: bool
 
 
-RECIPES: dict[FamilyId, FamilyRecipe] = {
-    parse_family_id(text): recipe
-    for text, recipe in {
-        "2.1": FamilyRecipe("dp3(1)", pencil="H", nef_big_second=True),
-        "2.2": FamilyRecipe("double_cover(prod(P(1),P(2)), half_branch=H1+2*H2)", d1="H1"),
-        "2.3": FamilyRecipe("double_cover(P(3), half_branch=2*H)", pencil="H"),
-        "2.4": FamilyRecipe("P(3)", pencil="3*H"),
-        "2.5": FamilyRecipe("divisor_in(P(4), 3*H)", pencil="H"),
-        "3.1": FamilyRecipe("double_cover(prod(P(1),P(1),P(1)), half_branch=H1+H2+H3)", d1="H1"),
-        "3.2": FamilyRecipe("divisor_in(bundle(prod(P(1),P(1)), summands=[0, -H1-H2, -H1-H2]),"
-                            " 2*zeta+2*H1+3*H2)", d1="H1"),
-        "3.3": FamilyRecipe("divisor_in(prod(P(1),P(1),P(2)), H1+H2+2*H3)", d1="H1"),
-        "3.4": FamilyRecipe("double_cover(prod(P(1),P(2)), half_branch=H1+H2)", pencil="H2"),
-        "3.5": FamilyRecipe("blowup_curve(prod(P(1),P(2)), genus=0, degrees={H1:5, H2:2})",
-                            d1="H1+3*H2-E"),
-        "3.7": FamilyRecipe("divisor_in(prod(P(2),P(2)), H1+H2)", pencil="H1+H2"),
-        "3.8": FamilyRecipe("divisor_in(prod(blowup_point(P(2), count=1), P(2)), H1+2*H2)",
-                            d1="2*H1-E1"),
-        "3.11": FamilyRecipe("blowup_point(P(3), count=1)", pencil="2*L-E"),
-        "3.17": FamilyRecipe("divisor_in(prod(P(1),P(1),P(2)), H1+H2+H3)", d1="H1"),
-        "3.19": FamilyRecipe("blowup_point(divisor_in(P(4), 2*H), count=2)", d1="H"),
-        "3.24": FamilyRecipe("divisor_in(prod(P(2),P(2)), H1+H2)", pencil="H2"),
-        "3.26": FamilyRecipe("blowup_point(P(3), count=1)", pencil="L"),
-        "3.31": FamilyRecipe("bundle(prod(P(1),P(1)), summands=[0, H1+H2])", d1="2*zeta"),
-        "4.1": FamilyRecipe("divisor_in(prod(P(1),P(1),P(1),P(1)), H1+H2+H3+H4)", d1="H1"),
-        "4.4": FamilyRecipe("blowup_point(divisor_in(P(4), 2*H), count=2)", pencil="H-E1-E2"),
-        "4.9": FamilyRecipe("blowup_curve(blowup_curve(P(3), genus=0, degrees={H:1}),"
-                            " genus=0, degrees={H:0, E1:-1})", pencil="L"),
-        "5.1": FamilyRecipe("blowup_point(divisor_in(P(4), 2*H), count=3)", pencil="H-E1-E2-E3"),
-        "10.1": FamilyRecipe("prod(P(1), blowup_point(P(2), count=8))", d1="H1",
-                             nef_big_second=True),
-    }.items()
+# the recipe TSV columns in header order, each with its cell parser; FamilyRecipe's fields follow id
+_RECIPE_COLUMNS = {
+    "id": parse_family_id,
+    "middle": parse_recipe,
+    "pencil": _opt(parse_class_expr, absent="-"),
+    "d1": _opt(parse_class_expr, absent="-"),
+    "nef_big_second": _parse_bool,
 }
+_RECIPE_DATA = os.path.join(os.path.dirname(__file__), "data", "recipes.tsv")
+
+
+def _recipe_row(values: list, cells: list[str]) -> tuple[FamilyId, FamilyRecipe]:
+    fid, *fields = values
+    recipe = FamilyRecipe(*fields)
+    if (recipe.pencil is None) == (recipe.d1 is None):
+        raise ValueError(f"recipe {fid}: give exactly one of pencil and d1")
+    return fid, recipe
+
+
+@lru_cache(maxsize=None)
+def recipes() -> dict[FamilyId, FamilyRecipe]:
+    """The curated recipes by family id, in file order, each text parsed once on first use;
+    cached and shared, so do not modify it."""
+    return _read_table(_RECIPE_DATA, _RECIPE_COLUMNS, "recipe", _recipe_row)
 
 
 def ci_curve_center(
@@ -215,7 +212,7 @@ def ci_curve_center(
 @lru_cache(maxsize=None)
 def realize_recipe(family: FamilyId) -> RealizedFamily:
     try:
-        rec = RECIPES[family]
+        rec = recipes()[family]
     except KeyError:
         raise NoRecipeError(f"no construction recipe curated for family {family}") from None
     middle = ring.model_from_recipe(rec.middle)

@@ -92,8 +92,11 @@ def classify_splitting(s: Splitting, ell_hint: Optional[int] = None) -> Classifi
     """Resolve the Seshadri constant of -K from a splitting.
 
     Requires a free splitting, or free first part with nef and big second
-    part.  With no pencil among the parts the constant is 2, or 3 when the
-    minimal rational curve degree is known to be at least 3.
+    part.  At a very general point x, eps <= dp_surface_epsilon(d) for the
+    degree-d del Pezzo fiber through x of a pencil among the parts, and
+    eps <= l for a family of rational curves of -K-degree l through x.  The
+    constant is the smaller bound, or l without a pencil (the paper's theorem).
+    l is ``ell_hint``, or else 2: the assumption that a -K-conic passes through x.
     """
     if not s.free1 or not (s.free2 or s.nef_big_second):
         raise GeometryError("classifier needs a free splitting or a nef-and-big second part")
@@ -103,18 +106,16 @@ def classify_splitting(s: Splitting, ell_hint: Optional[int] = None) -> Classifi
         raise InconsistentModelError(
             "both splitting parts define pencils; -K cannot be ample"
         )
+    ell = Fraction(2 if ell_hint is None else ell_hint)
     if not p1 and not p2:
-        if ell_hint is not None and ell_hint >= 3:
-            return ClassificationOutcome(
-                "none", None, Fraction(3), ("no pencil", "min curve degree >= 3")
-            )
-        return ClassificationOutcome("none", None, Fraction(2), ("no pencil",))
+        notes = ("no pencil", "min curve degree >= 3") if ell >= 3 else ("no pencil",)
+        return ClassificationOutcome("none", None, ell, notes)
     side, pencil, other = ("first", s.d1, s.d2) if p1 else ("second", s.d2, s.d1)
     d = ring.intersection_number(s.model, [other, other, pencil])
-    if d.denominator != 1 or d < 1:
-        raise InconsistentModelError(f"fiber degree {d} is not a positive integer")
+    if d.denominator != 1 or not 1 <= d <= 9:
+        raise InconsistentModelError(f"fiber degree {d} is not a del Pezzo degree 1..9")
     d = int(d)
-    eps = dp_surface_epsilon(d) if d <= 3 else Fraction(2)
+    eps = min(dp_surface_epsilon(d), ell)
     return ClassificationOutcome(side, d, eps, (f"pencil on {side} part", f"fiber degree {d}"))
 
 
@@ -142,7 +143,7 @@ def epsilon_of_family(family: FamilyId | str) -> EpsilonResult:
     whenever one is curated."""
     rec = catalog.get_family(family)
     recomputed = False
-    if rec.eps_status == "known" and rec.id in catalog.RECIPES:
+    if rec.eps_status == "known" and rec.id in catalog.recipes():
         _, outcome = classify_family(rec)
         if outcome.epsilon != rec.epsilon:
             raise InconsistentModelError(

@@ -371,8 +371,9 @@ def make_projective_space(n: int) -> VarietyModel:
 
 
 def make_del_pezzo_threefold(degree: int) -> VarietyModel:
-    """Index-two Fano threefold with fundamental class H, H^3 = degree."""
-    if not 1 <= degree <= 7:
+    """Index-two Fano threefold of Picard rank one with fundamental class H, H^3 = degree;
+    one exists for degrees 1..5 only (Iskovskikh; Fujita)."""
+    if not 1 <= degree <= 5:
         raise GeometryError(f"no del Pezzo threefold of degree {degree}")
     return _rank_one(f"V{degree}", 3, degree, 2)
 

@@ -114,7 +114,7 @@ def test_criterion_5_rank_one_and_general_rules():
 
 def test_criterion_6_adjunction_oracle():
     checked = 0
-    for fid, recipe in sorted(catalog.RECIPES.items()):
+    for fid, recipe in sorted(catalog.recipes().items()):
         if recipe.pencil is None:
             continue
         real = catalog.realize_recipe(fid)
@@ -129,7 +129,7 @@ def test_criterion_6_adjunction_oracle():
 
 
 def _models():
-    return [catalog.realize_recipe(fid).model for fid in sorted(catalog.RECIPES)]
+    return [catalog.realize_recipe(fid).model for fid in sorted(catalog.recipes())]
 
 
 def _random_class(m, rng):

@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from fanocalc import catalog, classify, ring
+from fanocalc import catalog, classify, parser, ring
 from fanocalc.cli import main
 from fanocalc.catalog import (
-    RECIPES,
     ci_curve_center,
     get_family,
     list_families,
     load_catalog,
     realize_recipe,
+    recipes,
 )
 from fanocalc.errors import (
     ForeignClassError,
@@ -23,12 +23,13 @@ from fanocalc.errors import (
 )
 from fanocalc.parser import parse_family_id
 
-# freeze the data file: any edit must be deliberate and reviewed
+# freeze the data files: any edit must be deliberate and reviewed
 DATA_SHA256 = "2096d81a88f3156383037030754d35d89964c10c8cf41de31c590891337be582"
+RECIPES_SHA256 = "02d3f9fd47daf136143f466132fc5e4320f9ff666bd7ad039a72234eb2e1c393"
 
 RHO_COUNTS = {1: 17, 2: 36, 3: 31, 4: 13, 5: 3, 6: 1, 7: 1, 8: 1, 9: 1, 10: 1}
 
-# (-K)^3 of each recipe family from the Mori-Mukai tables, in RECIPES order
+# (-K)^3 of each recipe family from the Mori-Mukai tables, in recipe file order
 MORI_MUKAI_CUBES = [4, 6, 8, 10, 12, 12, 14, 18, 18, 20, 24, 24, 28, 36, 38, 42, 46, 52, 24, 32, 40, 28, 6]
 
 
@@ -36,6 +37,12 @@ def test_data_file_checksum():
     with open(catalog.data_path(), "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     assert digest == DATA_SHA256
+
+
+def test_recipe_file_checksum():
+    with open(catalog._RECIPE_DATA, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == RECIPES_SHA256
 
 
 class TestUniverse:
@@ -162,23 +169,76 @@ def test_inconsistent_row_rejected(capsys, tmp_path, monkeypatch, row, tampered,
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+@pytest.fixture
+def recipe_file(tmp_path, monkeypatch):
+    """Points the recipe loader at a copy of the recipe file with ``row`` made ``tampered``."""
+    def tamper(row, tampered):
+        with open(catalog._RECIPE_DATA, encoding="utf-8") as fh:
+            text = fh.read()
+        assert text.count(row) == 1
+        alt = tmp_path / "recipes.tsv"
+        alt.write_text(text.replace(row, tampered), encoding="utf-8")
+        monkeypatch.setattr(catalog, "_RECIPE_DATA", str(alt))
+        catalog.recipes.cache_clear()
+        catalog.realize_recipe.cache_clear()
+    yield tamper
+    monkeypatch.undo()
+    catalog.recipes.cache_clear()
+    catalog.realize_recipe.cache_clear()
+
+
+@pytest.mark.parametrize("row, tampered, message", [
+    ("2.1\tdp3(1)\tH\t-\ttrue\n", "2.1\tdp3(1)\tH\t-\n", "bad recipe row: '2.1\\tdp3(1)\\tH\\t-'"),
+    ("\tnef_big_second\n", "\tnef_big\n", "has an unexpected header"),
+    ("2.1\tdp3(1)\tH\t-\ttrue", "2.1\tdp3(1)\tH\t-\tyes", "bad boolean field 'yes'"),
+    ("2.1\tdp3(1)\t", "2.1\tdp3(1\t", "expected ')' or ','"),
+    ("\n2.2\t", "\n2.1\t", "duplicate recipe id 2.1"),
+    ("2.1\tdp3(1)\tH\t-\t", "2.1\tdp3(1)\tH\tH\t", "recipe 2.1: give exactly one of pencil and d1"),
+    ("2.1\tdp3(1)\tH\t-\t", "2.1\tdp3(1)\t-\t-\t", "recipe 2.1: give exactly one of pencil and d1"),
+], ids=["four-cells", "unknown-header", "non-boolean-nef-big", "unparsable-middle",
+        "duplicate-id", "pencil-and-d1", "neither-pencil-nor-d1"])
+def test_bad_recipe_row_is_an_error_line(capsys, recipe_file, row, tampered, message):
+    recipe_file(row, tampered)
+    assert main(["classify", "2.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_recipes_are_parsed_once(monkeypatch):
+    catalog.recipes.cache_clear()
+    realize_recipe.cache_clear()
+    for fid in recipes():
+        realize_recipe(fid)
+    realize_recipe.cache_clear()
+    calls = []
+    for name in ("parse_recipe", "parse_class_expr"):
+        spied = getattr(parser, name)
+        monkeypatch.setattr(parser, name, lambda text, f=spied: calls.append(text) or f(text))
+    for fid in recipes():
+        realize_recipe(fid)
+    assert calls == []
+    assert catalog.recipes.cache_info().misses == 1
+
+
 class TestRecipes:
     def test_recipe_coverage(self):
-        ids = {str(f) for f in RECIPES}
+        ids = {str(f) for f in recipes()}
         assert ids == {
             "2.1", "2.2", "2.3", "2.4", "2.5",
             "3.1", "3.2", "3.3", "3.4", "3.5", "3.7", "3.8", "3.11",
             "3.17", "3.19", "3.24", "3.26", "3.31",
             "4.1", "4.4", "4.9", "5.1", "10.1",
         }
-        assert len(MORI_MUKAI_CUBES) == len(RECIPES)
+        assert len(MORI_MUKAI_CUBES) == len(recipes())
 
     def test_no_recipe_raises(self):
-        assert parse_family_id("1.17") not in RECIPES
+        assert parse_family_id("1.17") not in recipes()
         with pytest.raises(NoRecipeError):
             realize_recipe(parse_family_id("1.17"))
 
-    @pytest.mark.parametrize("fid", sorted(RECIPES))
+    @pytest.mark.parametrize("fid", sorted(recipes()))
     def test_realization_is_consistent(self, fid):
         real = realize_recipe(fid)
         model = real.model
@@ -188,7 +248,7 @@ class TestRecipes:
         mk = model.anticanonical
         assert ring.intersection_number(model, [mk, mk, mk]) > 0
 
-    @pytest.mark.parametrize("fid", sorted(RECIPES))
+    @pytest.mark.parametrize("fid", sorted(recipes()))
     def test_realization_cached(self, fid):
         assert realize_recipe(fid) is realize_recipe(fid)
 
@@ -205,7 +265,9 @@ class TestRecipes:
         assert real.model.form.entries == explicit.form.entries
         assert real.middle is real.model and real.center is None
 
-    @pytest.mark.parametrize("fid", [f for f in sorted(RECIPES) if RECIPES[f].pencil], ids=str)
+    @pytest.mark.parametrize(
+        "fid", [f for f, r in sorted(recipes().items()) if r.pencil is not None], ids=str
+    )
     def test_ci_center_matches_one_product_per_basis_class(self, fid):
         # the center from full products: B.L.L for each basis class B, and the
         # genus from adjunction, 2g - 2 = (K + 2L).L.L
@@ -241,12 +303,12 @@ class TestRecipes:
 
     def test_one_freeness_declaration(self):
         # D1 is free in every recipe, and D2 too unless the recipe declares it only nef and big
-        assert {str(f) for f, rec in RECIPES.items() if rec.nef_big_second} == {"2.1", "10.1"}
-        for fid, rec in RECIPES.items():
+        assert {str(f) for f, rec in recipes().items() if rec.nef_big_second} == {"2.1", "10.1"}
+        for fid, rec in recipes().items():
             assert realize_recipe(fid).free == (True, not rec.nef_big_second)
             assert (rec.pencil is None) != (rec.d1 is None), fid
 
-    @pytest.mark.parametrize("fid, cube", zip(RECIPES, MORI_MUKAI_CUBES))
+    @pytest.mark.parametrize("fid, cube", zip(recipes(), MORI_MUKAI_CUBES))
     def test_recipe_invariants_match_the_catalog(self, fid, cube):
         model, rec = realize_recipe(fid).model, get_family(fid)
         mk = model.anticanonical

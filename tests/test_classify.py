@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fanocalc import catalog, classify
+from fanocalc import catalog, classify, ring
 from fanocalc.classify import (
     Splitting,
     classify_splitting,
@@ -19,7 +19,7 @@ from fanocalc.errors import (
     InconsistentModelError,
     UnknownFamilyError,
 )
-from fanocalc.parser import parse_family_id
+from fanocalc.parser import parse_class_expr, parse_family_id, parse_recipe
 from fanocalc.ring import VarietyModel, make_blowup, make_projective_space
 
 
@@ -116,6 +116,30 @@ class TestClassifySplitting:
         _, s = _splitting("3.19")
         assert classify_splitting(s, ell_hint=3).epsilon == Fraction(3)
 
+    def test_pencil_fiber_bound_meets_the_curve_bound(self, monkeypatch):
+        # 2.33, P3 blown up along a line: D1 = H - E1 is the pencil of planes through
+        # the line, fiber P2 of degree 9, so eps = min(3, l); lines meeting the line give l = 3
+        fid = parse_family_id("2.33")
+        recipe = catalog.FamilyRecipe(parse_recipe("P(3)"), pencil=parse_class_expr("H"))
+        monkeypatch.setitem(catalog.recipes(), fid, recipe)
+        catalog.realize_recipe.cache_clear()
+        try:
+            real = catalog.realize_recipe(fid)
+        finally:
+            catalog.realize_recipe.cache_clear()
+        s = Splitting(real.d1, real.d2)
+        assert (str(real.d1), str(real.d2)) == ("H-E1", "3*H")
+        out = classify_splitting(s, ell_hint=3)
+        assert (out.pencil_side, out.fiber_degree, out.epsilon) == ("first", 9, Fraction(3))
+        assert classify_splitting(s).epsilon == Fraction(2)  # the assumed l = 2
+
+    def test_fiber_degree_beyond_del_pezzo_rejected(self):
+        # 2*H1 on P1 x P2 passes the pencil test, but its fibers are two planes: degree 18
+        m = ring.model_from_recipe("prod(P(1),P(2))")
+        s = Splitting(m.divisor("2*H1"), m.divisor("3*H2"))
+        with pytest.raises(InconsistentModelError, match="fiber degree 18 is not a del Pezzo"):
+            classify_splitting(s)
+
     def test_pencil_may_sit_on_second_side(self):
         _, s = _splitting("3.5")
         out = classify_splitting(s)
@@ -167,7 +191,7 @@ class TestEpsilonOfFamily:
 
     def test_recomputed_exactly_where_a_recipe_exists(self):
         recomputed = {r.id for r in catalog.list_families() if epsilon_of_family(r.id).recomputed}
-        assert recomputed == set(catalog.RECIPES)
+        assert recomputed == set(catalog.recipes())
         assert len(recomputed) == 23
 
     def test_catalog_only_families(self):
@@ -307,7 +331,7 @@ class TestVerifyPaper:
 
 
 class TestMutualExclusion:
-    @pytest.mark.parametrize("fid", sorted(catalog.RECIPES))
+    @pytest.mark.parametrize("fid", sorted(catalog.recipes()))
     def test_never_two_pencils(self, fid):
         real = catalog.realize_recipe(fid)
         both = pencil_check(real.model, real.d1) and pencil_check(real.model, real.d2)

@@ -244,7 +244,7 @@ class TestClassify:
         assert payload["pencil_side"] == "none"
         assert payload["epsilon"] == "2"
 
-    @pytest.mark.parametrize("fid", sorted(catalog.RECIPES))
+    @pytest.mark.parametrize("fid", sorted(catalog.recipes()))
     def test_json_epsilon_matches_catalog(self, capsys, fid):
         code, out, _ = run(capsys, "classify", str(fid), "--json")
         assert code == 0
@@ -304,7 +304,8 @@ class TestVerify:
 
     def test_bad_row_is_a_fail_line(self, capsys, monkeypatch):
         fid = parse_family_id("3.31")
-        monkeypatch.setitem(catalog.RECIPES, fid, catalog.RECIPES[fid]._replace(d1="zeta"))
+        bad = catalog.recipes()[fid]._replace(d1=parse_class_expr("zeta"))
+        monkeypatch.setitem(catalog.recipes(), fid, bad)
         catalog.realize_recipe.cache_clear()
         try:
             code, out, _ = run(capsys, "verify")

@@ -46,14 +46,16 @@ def invocations() -> list[list[str]]:
     out = [["verify"], ["verify", "--json"]]
     for section in classify.VERIFY_SECTIONS:
         out += [["verify", "--only", section], ["verify", "--only", section, "--json"]]
-    for fid in sorted(catalog.RECIPES):
+    for fid in sorted(catalog.recipes()):
         out += [["classify", str(fid)], ["classify", str(fid), "--json"]]
     for rec in catalog.list_families():
         out += [["family", str(rec.id)], ["family", str(rec.id), "--json"]]
     for filters in ([], ["--epsilon", "4/3"], ["--rho", "3"], ["--dp", "2"],
                     ["--epsilon", "2", "--rho", "2"]):
         out += [["list", *filters], ["list", *filters, "--json"]]
-    middles = dict.fromkeys(r.middle for r in catalog.RECIPES.values())
+    with open(catalog._RECIPE_DATA, encoding="utf-8") as fh:  # the middle texts, in file order
+        rows = [line.split("\t") for line in fh.read().splitlines()]
+    middles = dict.fromkeys(row[rows[0].index("middle")] for row in rows[1:])
     for recipe in [*middles, *_EXTRA_RECIPES]:
         model = ring.model_from_recipe(recipe)
         n = model.dimension

@@ -25,6 +25,9 @@ so the stored keys are walked one slot at a time and not over their orderings.
 One statement of the binding: ``parser._BINDING`` ranks every class-expression
 node, and ``parser.pretty_print`` parenthesises by rank, naming no ``isinstance``.
 
+Recipes load on first use: ``fanocalc list`` and ``fanocalc deg`` leave
+``catalog.recipes`` unread.
+
 The package binds only its modules and ``parse_family_id``.
 """
 
@@ -112,6 +115,17 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_list_and_deg_leave_the_recipe_file_unread():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import fanocalc.cli as cli; "
+            "codes = [cli.main(['list']), cli.main(['deg', 'P(3)', 'H^3'])]; "
+            "print(codes, cli.catalog.recipes.cache_info().currsize)")
+    src = str(Path(fanocalc.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-3:] == ["count 105", "1", "[0, 0] 0"]
 
 
 def names_in(module, function):
