@@ -17,7 +17,13 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from . import ring
-from .errors import GeometryError, NoRecipeError, UnknownFamilyError, UnsupportedDimensionError
+from .errors import (
+    GeometryError,
+    NoRecipeError,
+    ParseError,
+    UnknownFamilyError,
+    UnsupportedDimensionError,
+)
 from .parser import Call, ClassExpr, FamilyId, parse_class_expr, parse_family_id, parse_recipe
 
 DATA_ENV_VAR = "FANOCALC_DATA"
@@ -60,7 +66,8 @@ FanoFamilyRecord = namedtuple("FanoFamilyRecord", _COLUMNS)
 
 def _read_table(path: str, columns: dict, what: str, make) -> dict:
     """The records of a TSV file headed by ``columns``, by id in file order; ``make`` checks
-    a row's cells and their values, parsed by column, and returns its (id, record)."""
+    a row's cells and their values, parsed by column, and returns its (id, record).
+    A grammar error in a cell after the id names the row's id and the column."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].split("\t") != list(columns):
@@ -70,7 +77,15 @@ def _read_table(path: str, columns: dict, what: str, make) -> dict:
         cells = line.split("\t")
         if len(cells) != len(columns):
             raise ValueError(f"bad {what} row: {line!r}")
-        fid, rec = make([parse(text) for parse, text in zip(columns.values(), cells)], cells)
+        values = []
+        for (column, parse), text in zip(columns.items(), cells):
+            try:
+                values.append(parse(text))
+            except ParseError as exc:
+                if not values:  # the id itself: nothing names the row
+                    raise
+                raise ParseError(f"{what} {cells[0]} {column}: {exc.message}", exc.offset) from None
+        fid, rec = make(values, cells)
         if by_id.setdefault(fid, rec) is not rec:
             raise ValueError(f"duplicate {what} id {fid}")
     return by_id

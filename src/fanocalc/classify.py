@@ -53,30 +53,40 @@ class ClassificationOutcome(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
+_DP_SURFACE_EPSILON = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(3, 2),
+                       **dict.fromkeys(range(4, 9), Fraction(2)), 9: Fraction(3)}
+
+
 def dp_surface_epsilon(degree: int) -> Fraction:
     """Seshadri constant of -K at a very general point of a degree-d
     del Pezzo surface."""
-    if not 1 <= degree <= 9:
+    if degree not in _DP_SURFACE_EPSILON:
         raise ValueError(f"del Pezzo surface degree must be 1..9, got {degree}")
-    table = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(3, 2), 9: Fraction(3)}
-    return table.get(degree, Fraction(2))
+    return _DP_SURFACE_EPSILON[degree]
 
 
-def pencil_check(model: ring.VarietyModel, d: ring.DivisorClass) -> bool:
-    """True iff D^2 is numerically zero and D is not: D.D.B = 0 for every
-    basis class B, and D.B.B' != 0 for some pair of basis classes.
-
-    The test reads only the intersection form, in one walk over it: D applied
-    to one slot gives every D.B.B', and that rest applied to D gives every D.D.B.
-    For nef D it says that D has numerical dimension one (Lazarsfeld, Positivity I).
-    """
+def _pencil_test(model: ring.VarietyModel, d: ring.DivisorClass):
+    """(pencil_check's answer, D's sparse vector, the form D.D.B keyed by (B,)), from two
+    contractions: D applied to one slot gives every D.B.B', and that rest applied to D
+    gives every D.D.B."""
     if model.dimension != 3:
         raise UnsupportedDimensionError("pencil test requires a threefold")
     if not d.is_integral:
         raise GeometryError("pencil test requires an integral class")
     v = ring._sparse(d.coeffs)
     rest = ring._contract(model.form.entries, [v])
-    return any(rest.values()) and not any(ring._contract(rest, [v]).values())
+    square = ring._contract(rest, [v])
+    return any(rest.values()) and not any(square.values()), v, square
+
+
+def pencil_check(model: ring.VarietyModel, d: ring.DivisorClass) -> bool:
+    """True iff D^2 is numerically zero and D is not: D.D.B = 0 for every
+    basis class B, and D.B.B' != 0 for some pair of basis classes.
+
+    The test reads only the intersection form, in one walk over it.
+    For nef D it says that D has numerical dimension one (Lazarsfeld, Positivity I).
+    """
+    return _pencil_test(model, d)[0]
 
 
 def fibration_degree(ambient_y: ring.VarietyModel, pencil: ring.DivisorClass) -> Fraction:
@@ -100,8 +110,8 @@ def classify_splitting(s: Splitting, ell_hint: Optional[int] = None) -> Classifi
     """
     if not s.free1 or not (s.free2 or s.nef_big_second):
         raise GeometryError("classifier needs a free splitting or a nef-and-big second part")
-    p1 = pencil_check(s.model, s.d1)
-    p2 = pencil_check(s.model, s.d2)
+    p1, v1, square1 = _pencil_test(s.model, s.d1)
+    p2, v2, square2 = _pencil_test(s.model, s.d2)
     if p1 and p2:
         raise InconsistentModelError(
             "both splitting parts define pencils; -K cannot be ample"
@@ -110,8 +120,9 @@ def classify_splitting(s: Splitting, ell_hint: Optional[int] = None) -> Classifi
     if not p1 and not p2:
         notes = ("no pencil", "min curve degree >= 3") if ell >= 3 else ("no pencil",)
         return ClassificationOutcome("none", None, ell, notes)
-    side, pencil, other = ("first", s.d1, s.d2) if p1 else ("second", s.d2, s.d1)
-    d = ring.intersection_number(s.model, [other, other, pencil])
+    # the fiber degree D_other^2.D_pencil, read off the other part's square D_other^2.B
+    side, pencil, square = ("first", v1, square2) if p1 else ("second", v2, square1)
+    d = sum(square.get((b,), 0) * x for b, x in pencil.items())
     if d.denominator != 1 or not 1 <= d <= 9:
         raise InconsistentModelError(f"fiber degree {d} is not a del Pezzo degree 1..9")
     d = int(d)

@@ -191,12 +191,15 @@ def recipe_file(tmp_path, monkeypatch):
     ("2.1\tdp3(1)\tH\t-\ttrue\n", "2.1\tdp3(1)\tH\t-\n", "bad recipe row: '2.1\\tdp3(1)\\tH\\t-'"),
     ("\tnef_big_second\n", "\tnef_big\n", "has an unexpected header"),
     ("2.1\tdp3(1)\tH\t-\ttrue", "2.1\tdp3(1)\tH\t-\tyes", "bad boolean field 'yes'"),
-    ("2.1\tdp3(1)\t", "2.1\tdp3(1\t", "expected ')' or ','"),
+    ("2.1\tdp3(1)\t", "2.1\tdp3(1\t", "error: recipe 2.1 middle: expected ')' or ','"),
+    ("2.1\tdp3(1)\tH\t", "2.1\tdp3(1)\tH+\t", "error: recipe 2.1 pencil: expected atom"),
+    ("2*H2)\t-\tH1\t", "2*H2)\t-\tH1*(\t", "error: recipe 2.2 d1: expected atom"),
     ("\n2.2\t", "\n2.1\t", "duplicate recipe id 2.1"),
     ("2.1\tdp3(1)\tH\t-\t", "2.1\tdp3(1)\tH\tH\t", "recipe 2.1: give exactly one of pencil and d1"),
     ("2.1\tdp3(1)\tH\t-\t", "2.1\tdp3(1)\t-\t-\t", "recipe 2.1: give exactly one of pencil and d1"),
 ], ids=["four-cells", "unknown-header", "non-boolean-nef-big", "unparsable-middle",
-        "duplicate-id", "pencil-and-d1", "neither-pencil-nor-d1"])
+        "unparsable-pencil", "unparsable-d1", "duplicate-id", "pencil-and-d1",
+        "neither-pencil-nor-d1"])
 def test_bad_recipe_row_is_an_error_line(capsys, recipe_file, row, tampered, message):
     recipe_file(row, tampered)
     assert main(["classify", "2.1"]) == 1

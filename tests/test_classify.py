@@ -41,7 +41,7 @@ class TestDpSurfaceTable:
     def test_all_degrees(self, degree, eps):
         assert dp_surface_epsilon(degree) == eps
 
-    @pytest.mark.parametrize("bad", [0, 10, -1])
+    @pytest.mark.parametrize("bad", [0, 10, -1, Fraction(9, 2)])
     def test_range(self, bad):
         with pytest.raises(ValueError):
             dp_surface_epsilon(bad)
@@ -145,6 +145,24 @@ class TestClassifySplitting:
         out = classify_splitting(s)
         assert out.pencil_side == "second"
         assert out.epsilon == Fraction(2)
+
+    @pytest.mark.parametrize("fid", ["3.26", "3.19"], ids=["pencil", "no-pencil"])
+    def test_contracts_four_times(self, monkeypatch, fid):
+        """Two contractions per pencil test, and the fiber degree from their numbers."""
+        _, s = _splitting(fid)
+        contract, calls = ring._contract, []
+
+        def spy(entries, factors):
+            calls.append(len(factors))
+            return contract(entries, factors)
+
+        def no_call(*args):
+            raise AssertionError("intersection_number called")
+
+        monkeypatch.setattr(ring, "_contract", spy)
+        monkeypatch.setattr(ring, "intersection_number", no_call)
+        classify_splitting(s)
+        assert calls == [1, 1, 1, 1]
 
     def test_requires_freeness(self):
         real, _ = _splitting("3.2")

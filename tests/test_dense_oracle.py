@@ -8,14 +8,15 @@ code with the engine beyond ``IntersectionForm.value``.
 """
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from fanocalc import ring
-from fanocalc.classify import pencil_check
+from fanocalc import catalog, ring
+from fanocalc.classify import Splitting, classify_splitting, fibration_degree, pencil_check
 from fanocalc.errors import GeometryError
 from fanocalc.ring import (
     DivisorClass,
@@ -261,15 +262,23 @@ def test_contracting_no_factors_copies_the_entries():
     assert rest == entries and rest is not entries
 
 
-class _ItertoolsSpy:
-    """Stands in for ring's itertools and records which functions are taken."""
+class _ModuleSpy:
+    """Stands in for one of ring's modules and records which of its functions are taken."""
 
-    def __init__(self):
-        self.taken = set()
+    def __init__(self, module, taken):
+        self.module, self.taken = module, taken
 
     def __getattr__(self, name):
-        self.taken.add(name)
-        return getattr(itertools, name)
+        self.taken.add(f"{self.module.__name__}.{name}")
+        return getattr(self.module, name)
+
+
+def _spy_on_walks(monkeypatch):
+    """The set of itertools and math functions that ring takes from now on."""
+    taken = set()
+    for module in (itertools, math):
+        monkeypatch.setattr(ring, module.__name__, _ModuleSpy(module, taken))
+    return taken
 
 
 def half_section():
@@ -289,33 +298,70 @@ def _factor(model, text):
     return model.divisor(text)
 
 
-# itertools.product walks the factors' supports; the stored keys are walked one
-# slot at a time, with nothing from itertools; the text's factors are split at
-# the *s outside parentheses, and a single factor stands for its n-th power
-WALK_TAKES = {"product": {"product"}, "one-slot": set()}
+# every full contraction prices the product walk with math.prod; then the product
+# walk takes itertools.product, the power walk math.factorial and the one-slot walk
+# nothing more.  The text's factors are split at the *s outside parentheses, and a
+# single factor stands for its n-th power, one class object in every slot
+WALK_TAKES = {
+    "product": {"math.prod", "itertools.product"},
+    "power": {"math.prod", "math.factorial"},
+    "one-slot": {"math.prod"},
+}
 
 
 @pytest.mark.parametrize("recipe, text, walk", [
     ("blowup_point(P(3), count=3)", "E1*E1*E1", "product"),
     ("blowup_point(P(3), count=3)", "H*H*E2", "product"),
-    ("blowup_point(P(3), count=12)", "-K", "one-slot"),
-    ("prod(P(1),P(1),P(1),P(1))", "-K", "one-slot"),
+    ("blowup_point(P(3), count=12)", "-K", "power"),
+    ("prod(P(1),P(1),P(1),P(1))", "-K", "power"),
     ("blowup_point(P(3), count=3)", "(1/2*E1+1/3*E2)", "product"),
     ("blowup_point(P(3), count=12)", "-K/4*-K/3*-K", "one-slot"),
     (half_section, "(1/3*H)*H*(1/2*H)", "product"),
     (half_section_blown_up, "-K/3*-K*-K", "one-slot"),
+    (half_section_blown_up, "-K/3", "power"),
 ])
 def test_both_walks_match_dense_loop(monkeypatch, recipe, text, walk):
+    """Each case takes its labelled walk through both entry points, intersection_number
+    and evaluate, and both agree with the dense loop."""
     model = recipe() if callable(recipe) else model_from_recipe(recipe)
     classes = [_factor(model, t) for t in re.split(r"\*(?![^(]*\))", text)]
-    if len(classes) == 1:
+    texts = [_class_text(c.coeffs, model.basis) for c in classes]
+    power = len(classes) == 1
+    if power:
         classes *= model.dimension
     expected = dense_intersection_number(model, classes)
-    spy = _ItertoolsSpy()
-    monkeypatch.setattr(ring, "itertools", spy)
+    taken = _spy_on_walks(monkeypatch)
     assert intersection_number(model, classes) == expected
-    assert model.evaluate("*".join(_class_text(c.coeffs, model.basis) for c in classes)) == expected
-    assert spy.taken == WALK_TAKES[walk]
+    assert taken == WALK_TAKES[walk]
+    taken.clear()
+    assert model.evaluate(f"{texts[0]}^{model.dimension}" if power else "*".join(texts)) == expected
+    assert taken == WALK_TAKES[walk]
+
+
+@pytest.mark.parametrize("recipe", _CROSS_CHECK + [half_section, half_section_blown_up],
+                         ids=lambda r: r if isinstance(r, str) else r.__name__)
+def test_powers_match_dense_loop(recipe):
+    """n-th powers of classes with zero, negative and fractional coefficients."""
+    model = recipe() if callable(recipe) else model_from_recipe(recipe)
+    n, m = model.dimension, len(model.basis)
+    rng = random.Random(f"power {recipe if isinstance(recipe, str) else recipe.__name__}")
+    for trial in range(12):
+        vec = _random_vector(m, rng)
+        vec[trial % m] = (Fraction(0), Fraction(-2), Fraction(-3, 2), Fraction(5, 2))[trial % 4]
+        cls = DivisorClass(model, tuple(vec))
+        expected = dense_intersection_number(model, [cls] * n)
+        assert intersection_number(model, [cls] * n) == expected
+        assert model.evaluate(f"{_class_text(vec, model.basis)}^{n}") == expected
+        assert ring.evaluate(model, f"C^{n}", {"C": cls}) == expected
+
+
+def test_sparse_power_on_a_large_model_takes_the_product_walk(monkeypatch):
+    model = model_from_recipe("prod(blowup_point(P(2),count=62), blowup_point(P(2),count=62))")
+    h1, h = model.divisor("H1"), model.divisor("H1+H2")
+    taken = _spy_on_walks(monkeypatch)
+    assert intersection_number(model, [h1] * 4) == 0 == model.evaluate("H1^4")
+    assert intersection_number(model, [h] * 4) == 6 == model.evaluate("(H1+H2)^4")
+    assert taken == WALK_TAKES["product"]
 
 
 def _dense_cube(model, text):
@@ -491,6 +537,23 @@ def test_pencil_check_walks_the_form_once(monkeypatch):
     (first, k1, rest), (second, k2, _) = calls
     assert first is model.form.entries and k1 == 1
     assert second is rest and k2 == 1
+
+
+def test_fiber_degree_is_read_from_the_pencil_tests():
+    """The classifier's fiber degree equals (-K_Y - L)^2.L on Y and the dense
+    D_other^2.D_pencil on X, with the pencil as either part of the splitting."""
+    checked = 0
+    for fid, recipe in catalog.recipes().items():
+        if recipe.pencil is None:
+            continue
+        real = catalog.realize_recipe(fid)
+        expected = fibration_degree(real.middle, real.pencil)
+        assert dense_intersection_number(real.model, [real.d2, real.d2, real.d1]) == expected
+        for split, side in ((Splitting(real.d1, real.d2), "first"),
+                            (Splitting(real.d2, real.d1), "second")):
+            assert classify_splitting(split)[:2] == (side, expected)
+        checked += 1
+    assert checked >= 12
 
 
 def test_bundle_without_positive_reference_class():

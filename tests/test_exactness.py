@@ -16,11 +16,15 @@ One verification path: ``classify.verify_paper`` names neither
 ``intersection_number`` nor ``fibration_degree``, so each of its numeric
 checks is a row of its expression table.
 
+One walk per fiber degree: ``classify.classify_splitting`` names no
+``intersection_number``, so the fiber degree comes from its pencil tests' numbers.
+
 Recipes hold construction only: ``catalog.realize_recipe`` reads every
 field of ``FamilyRecipe``, so no field there is read by ``verify`` alone.
 
-One-slot contractions: ``ring._contract`` does not name ``permutations``,
-so the stored keys are walked one slot at a time and not over their orderings.
+No orderings: ``ring._contract`` does not name ``permutations``, so the stored
+keys are walked one slot at a time, or once with multinomial weights for a
+power, and not over their orderings.
 
 One statement of the binding: ``parser._BINDING`` ranks every class-expression
 node, and ``parser.pretty_print`` parenthesises by rank, naming no ``isinstance``.
@@ -138,6 +142,10 @@ def names_in(module, function):
 
 def test_verify_paper_computes_through_its_rows():
     assert names_in("classify", "verify_paper").isdisjoint({"intersection_number", "fibration_degree"})
+
+
+def test_classify_splitting_reads_the_fiber_degree_from_its_pencil_tests():
+    assert "intersection_number" not in names_in("classify", "classify_splitting")
 
 
 def test_realize_recipe_reads_every_recipe_field():
