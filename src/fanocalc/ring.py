@@ -30,6 +30,7 @@ from .errors import (
 )
 
 Rational = Union[int, Fraction]
+_E_NAME = re.compile(r"E\d+")  # a numbered exceptional divisor, as _blown_up counts them
 
 
 def _exact(x: Rational) -> Rational:
@@ -55,7 +56,8 @@ class DivisorClass(pmod._Value):
             )
         object.__setattr__(self, "model", model)
         # from a list: tuple(<generator>) resizes, leaving tuples in free lists until a full GC
-        object.__setattr__(self, "coeffs", tuple([_exact(c) for c in coeffs]))
+        coeffs = [c if type(c) is int else _exact(c) for c in coeffs]
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     def _check_sibling(self, other: "DivisorClass") -> None:
         if not isinstance(other, DivisorClass):
@@ -267,25 +269,25 @@ def intersection_number(model: VarietyModel, classes: Sequence[DivisorClass]) ->
     n = model.dimension
     if len(classes) != n:
         raise DegreeError(f"expected {n} classes, got {len(classes)}")
-    vecs = {}  # one sparse vector per class object, so [c] * n reaches the power walk
+    vecs = {}  # one check and sparse vector per class object, so [c] * n reaches the power walk
     for c in classes:
-        if not isinstance(c, DivisorClass):
-            raise TypeError(f"expected a divisor class, got {c!r}")
-        if c.model is not model:
-            raise ForeignClassError("divisor class belongs to a different model")
         if id(c) not in vecs:
+            if not isinstance(c, DivisorClass):
+                raise TypeError(f"expected a divisor class, got {c!r}")
+            if c.model is not model:
+                raise ForeignClassError("divisor class belongs to a different model")
             vecs[id(c)] = _sparse(c.coeffs)
     return Fraction(_contract(model.form.entries, [vecs[id(c)] for c in classes]).get((), 0))
 
 
 # A walked class expression is a list of terms (coefficient, nonzero sparse class vectors).
-# _collect merges the constants and the linear terms, so a power of a sum stays one product.
+# _collect merges the constants and the linear terms into ``linear``, a sparse class vector
+# that a sum's spine may have started, so a power of a sum stays one product.
 _Term = tuple[Rational, tuple[dict[int, Rational], ...]]
 
 
-def _collect(terms: list[_Term]) -> list[_Term]:
+def _collect(terms: list[_Term], linear: dict[int, Rational]) -> list[_Term]:
     const = 0
-    linear: dict[int, Rational] = {}
     out = []
     for c, factors in terms:
         if not factors:
@@ -313,11 +315,15 @@ def _multiply(model: VarietyModel, a: list[_Term], b: list[_Term]) -> list[_Term
             if len(fa) + len(fb) > model.dimension:
                 raise DegreeError(f"more than {model.dimension} classes multiplied on {model.name}")
             out.append((ca * cb, fa + fb))
-    return _collect(out)
+    return _collect(out, {})
 
 
 def _walk(model: VarietyModel, e: pmod.ClassExpr, named: Mapping = {}) -> list[_Term]:
-    """A class expression as a short sum of products of at most n class vectors."""
+    """A class expression as a short sum of products of at most n class vectors.
+
+    A sum's terms are read left to right: a basis symbol, alone or times a number, adds its
+    signed coefficient to one sparse vector, which ``_collect`` merges with the other terms.
+    """
     if isinstance(e, pmod.Sym):
         if e.name in named:  # a named class's walked form, copied: a sum extends its list
             return list(named[e.name])
@@ -327,16 +333,22 @@ def _walk(model: VarietyModel, e: pmod.ClassExpr, named: Mapping = {}) -> list[_
     if isinstance(e, pmod.Neg):
         return [(-c, f) for c, f in _walk(model, e.arg, named)]
     if isinstance(e, (pmod.Add, pmod.Sub)):
-        # one loop down a left-deep sum's spine; its terms are walked in order, collected once
-        spine = []
+        spine = []  # (sign, term), right to left
         while isinstance(e, (pmod.Add, pmod.Sub)):
-            spine.append(e)
+            spine.append((1 if isinstance(e, pmod.Add) else -1, e.right))
             e = e.left
-        terms = _walk(model, e, named)
-        for node in reversed(spine):
-            right = _walk(model, node.right, named)
-            terms += right if isinstance(node, pmod.Add) else [(-c, f) for c, f in right]
-        return _collect(terms)
+        terms, linear = [], {}
+        for sign, t in [(1, e), *reversed(spine)]:
+            c, s = sign, t
+            if isinstance(t, pmod.Mul) and isinstance(t.left, pmod.Num):
+                c, s = sign * t.left.value, t.right
+            if isinstance(s, pmod.Sym) and s.name not in named:
+                i = model.basis_index(s.name)
+                linear[i] = linear.get(i, 0) + c
+            else:
+                walked = _walk(model, t, named)
+                terms += walked if sign == 1 else [(-x, f) for x, f in walked]
+        return _collect(terms, linear)
     if isinstance(e, pmod.Mul):
         return _multiply(model, _walk(model, e.left, named), _walk(model, e.right, named))
     if isinstance(e, pmod.Pow):
@@ -362,7 +374,7 @@ def evaluate(model: VarietyModel, expr: Union[str, pmod.ClassExpr],
     for name, c in (classes or {}).items():
         if name in model.basis or name in model.aliases:
             raise GeometryError(f"class name {name!r} is a symbol of model {model.name}")
-        named[name] = _collect([(1, (_sparse(model.divisor(c).coeffs),))])  # 0 has no term
+        named[name] = _collect([], _sparse(model.divisor(c).coeffs))  # 0 has no term
     total = 0
     for c, factors in _walk(model, ast, named):
         if len(factors) != model.dimension:
@@ -490,7 +502,7 @@ def make_projective_bundle(base: VarietyModel, summands: Sequence[DivisorClass])
 def _blown_up(ambient: VarietyModel, count: int, entries: Mapping, k_coeff: int) -> VarietyModel:
     """``ambient`` plus ``count`` exceptional divisors with these form ``entries`` and -K
     coefficient, numbered on from its ``E<digits>``; ``E`` also names a first and only one."""
-    first = 1 + sum(1 for b in ambient.basis if re.fullmatch(r"E\d+", b))
+    first = 1 + sum(1 for b in ambient.basis if _E_NAME.fullmatch(b))
     basis = list(ambient.basis)
     for j in range(first, first + count):
         basis.append(f"E{j}")

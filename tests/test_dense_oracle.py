@@ -202,7 +202,18 @@ _CROSS_CHECK = [
 
 
 def _random_vector(m, rng):
-    return [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(m)]
+    """Coefficients in [-3, 3] over 1 or 2, at least one of them not an integer."""
+    vec = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(m)]
+    if all(c.denominator == 1 for c in vec):
+        vec[rng.randrange(m)] = Fraction(rng.choice((-3, -1, 1, 3)), 2)
+    return vec
+
+
+def test_random_vectors_hold_a_fraction():
+    rng = random.Random("fraction")
+    for m in range(1, 6):
+        for _ in range(200):
+            assert any(c.denominator != 1 for c in _random_vector(m, rng))
 
 
 def _class_text(vec, basis):
@@ -362,6 +373,48 @@ def test_sparse_power_on_a_large_model_takes_the_product_walk(monkeypatch):
     assert intersection_number(model, [h1] * 4) == 0 == model.evaluate("H1^4")
     assert intersection_number(model, [h] * 4) == 6 == model.evaluate("(H1+H2)^4")
     assert taken == WALK_TAKES["product"]
+
+
+_SUM_COEFFICIENTS = (1, 1, 2, 3, 0, Fraction(1, 2), Fraction(7, 3))
+
+
+def _random_sum(model, rng):
+    """A signed sum of basis symbols, aliases and c*symbol terms, some repeated with the
+    opposite sign, and one 3*(x-y) among them, as text, with its class added up term by term."""
+    symbols = list(model.basis) + sorted(model.aliases)
+    vec = [Fraction(0)] * len(model.basis)
+    pieces = []
+    for _ in range(rng.randint(2, 10)):
+        c, s = rng.choice(_SUM_COEFFICIENTS) * rng.choice((1, -1)), rng.choice(symbols)
+        for c in (c, -c) if rng.random() < 0.2 else (c,):
+            vec[model.basis_index(s)] += c
+            pieces.append(f"{'-' if c < 0 else '+'}{s if abs(c) == 1 else f'{abs(c)}*{s}'}")
+    x, y = rng.choice(symbols), rng.choice(symbols)
+    vec[model.basis_index(x)] += 3
+    vec[model.basis_index(y)] -= 3
+    pieces.insert(rng.randint(0, len(pieces)), f"+3*({x}-{y})")
+    return "".join(pieces).lstrip("+"), DivisorClass(model, vec)
+
+
+@pytest.mark.parametrize("recipe", _CROSS_CHECK + [half_section, half_section_blown_up],
+                         ids=lambda r: r if isinstance(r, str) else r.__name__)
+def test_linear_sums_match_dense_loop(recipe):
+    """Sums whose symbol terms the walk adds straight into one vector: as classes, as n-th
+    powers, as products, and beside a non-linear term and linear terms that cancel."""
+    model = recipe() if callable(recipe) else model_from_recipe(recipe)
+    n = model.dimension
+    rng = random.Random(f"sum {recipe if isinstance(recipe, str) else recipe.__name__}")
+    a, b = model.basis[0], model.basis[-1]
+    mixed = dense_intersection_number(model, [model.divisor(a)] * (n - 1) + [model.divisor(b)])
+    for _ in range(4):
+        texts, classes = zip(*(_random_sum(model, rng) for _ in range(n)))
+        for text, cls in zip(texts, classes):
+            assert model.divisor(text) == cls, text
+        power = dense_intersection_number(model, [classes[0]] * n)
+        assert model.evaluate(f"({texts[0]})^{n}") == power
+        product = "*".join(f"({t})" for t in texts)
+        assert model.evaluate(product) == dense_intersection_number(model, list(classes))
+        assert model.evaluate(f"2*{a}+({texts[0]})^{n}-{a}^{n - 1}*{b}-2*{a}") == power - mixed
 
 
 def _dense_cube(model, text):

@@ -32,6 +32,10 @@ node, and ``parser.pretty_print`` parenthesises by rank, naming no ``isinstance`
 Recipes load on first use: ``fanocalc list`` and ``fanocalc deg`` leave
 ``catalog.recipes`` unread.
 
+Patterns compiled once: no function in the package passes a literal pattern to
+``re.match``, ``fullmatch``, ``search``, ``sub``, ``split``, ``findall`` or
+``finditer``; patterns are compiled at module level.
+
 The package binds only its modules and ``parse_family_id``.
 """
 
@@ -138,6 +142,40 @@ def names_in(module, function):
     (f,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == function]
     return {node.id if isinstance(node, ast.Name) else node.attr
             for node in ast.walk(f) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+_RE_PATTERN_CALLS = {"match", "fullmatch", "search", "sub", "split", "findall", "finditer"}
+
+
+def literal_patterns(source):
+    """Lines, inside a function, of ``re.<name>`` calls whose pattern is a literal."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    return sorted({
+        node.lineno
+        for f in ast.walk(ast.parse(source)) if isinstance(f, functions)
+        for node in ast.walk(f)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+        and node.func.attr in _RE_PATTERN_CALLS
+        and any(isinstance(p, ast.Constant) for p in node.args[:1]
+                + [k.value for k in node.keywords if k.arg == "pattern"])
+    })
+
+
+def test_pattern_lint_sees_each_construct():
+    source = (
+        "import re\nWORD = re.compile(r'\\w+')\nTOP = re.match('a', 'a')\n"
+        "def f(s):\n    return re.fullmatch(r'E\\d+', s)\n"
+        "def g(s):\n    def h():\n        return re.sub(pattern='x', repl='', string=s)\n"
+        "    return WORD.fullmatch(s) or re.search(WORD, s) or re.split(',', s)\n"
+        "k = lambda s: re.findall('a', s)\n"
+    )
+    assert literal_patterns(source) == [5, 8, 9, 10]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_patterns_are_compiled_at_module_level(path):
+    assert literal_patterns(path.read_text()) == []
 
 
 def test_verify_paper_computes_through_its_rows():

@@ -93,6 +93,38 @@ class TestEarlyDegreeCheck:
         assert walked == [(1, ({1: 1}, {1: 1}, {2: 1}))]
 
 
+class TestLinearTermsOfASum:
+    """A sum's symbol and number*symbol terms go into one vector; the walk reads its terms
+    left to right, so the first bad term raises, and collects them as any other sum."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: P(3).divisor("H+1"), DegreeError, "class expression has a term of degree 0, not 1"),
+        (lambda: blowup_points(P(3), 1).divisor("E1+H^2+1"), DegreeError,
+         "class expression has a term of degree 2, not 1"),
+        (lambda: P(3).evaluate("H^3+2*X"), UnknownSymbolError, "unknown symbol 'X' on model P3"),
+        (lambda: P(3).evaluate("H^3+H^2-H^2"), DegreeError, "expression is not of degree 3 on P3"),
+        (lambda: P(3).evaluate("2*X+H^4"), UnknownSymbolError, "unknown symbol 'X' on model P3"),
+        (lambda: P(3).evaluate("H^4+2*X"), DegreeError, "exponent 4 is above the dimension of P3"),
+        (lambda: P(3).divisor("H-Y+2*X"), UnknownSymbolError, "unknown symbol 'Y' on model P3"),
+    ], ids=["constant", "square", "unknown-coefficient-term", "cancelled-square",
+            "unknown-before-power", "power-before-unknown", "first-unknown"])
+    def test_errors(self, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert str(exc.value) == message
+
+    def test_collected_list(self):
+        # products in order, then the one linear term, then the constant; no zero coefficient
+        m = blowup_points(P(3), 2)
+        walked = ring._walk(m, parse_class_expr("E1*H*H+2*E1+3+E2+H-E1^3-2*E1+L+1/2*E1-E2+1/2*E1"))
+        assert walked == [(1, ({1: 1}, {0: 1}, {0: 1})), (-1, ({1: 1}, {1: 1}, {1: 1})),
+                          (1, ({1: 1, 0: 2},)), (3, ())]
+        assert {i: type(x) for i, x in walked[2][1][0].items()} == {0: int, 1: Fraction}
+        (term,) = ring._walk(m, parse_class_expr("H+2*E1-1/2*L"))
+        assert term == (1, ({0: Fraction(1, 2), 1: 2},))
+        assert {i: type(x) for i, x in term[1][0].items()} == {0: Fraction, 1: int}
+
+
 class TestNamedClasses:
     """``ring.evaluate`` with a mapping of names to classes of the model."""
 
@@ -201,7 +233,7 @@ class TestBlowup:
         v7 = blowup_points(P(3), 1)
         assert v7.evaluate("E^3") == 1
         assert v7.evaluate("H^2*E") == 0
-        assert v7.evaluate("(2L-E)^3") == 7
+        assert v7.evaluate("(2L-E)^3") == 7 == v7.evaluate("(2*H-1/2*E1+1/2*E1-E1)^3")
 
     def test_v7_anticanonical(self):
         v7 = blowup_points(P(3), 1)
@@ -243,6 +275,18 @@ class TestBlowup:
             model_from_recipe(f"blowup_point({ambient}, count=12)")
         assert str(exc.value) == f"basis names not unique: {expected}"
 
+    @pytest.mark.parametrize("recipe, basis", [
+        ("blowup_point(P(3), count=1)", ("H", "E1")),
+        ("blowup_point(blowup_point(P(3), count=2), count=3)", ("H", "E1", "E2", "E3", "E4", "E5")),
+        ("blowup_point(blowup_curve(P(3), genus=0, degrees={H:1}), count=1)", ("H", "E1", "E2")),
+        ("blowup_point(prod(blowup_point(P(2), count=1), P(1)), count=1)", ("H1", "E1", "H2", "E2")),
+        ("blowup_point(bundle(P(2), summands=[0, H]), count=2)", ("H", "zeta", "E1", "E2")),
+    ])
+    def test_exceptional_names_go_on_from_the_ambients(self, recipe, basis):
+        m = model_from_recipe(recipe)
+        assert m.basis == basis
+        assert ("E" in m.aliases) == (basis == ("H", "E1"))
+
     def test_point_blowups_build_one_model(self, monkeypatch):
         p3 = P(3)
         built = []
@@ -267,9 +311,9 @@ class TestBlowup:
         calls = []
         collect = ring._collect
 
-        def counting_collect(terms):
+        def counting_collect(terms, linear):
             calls.append(len(terms))
-            return collect(terms)
+            return collect(terms, linear)
 
         monkeypatch.setattr(ring, "_collect", counting_collect)
         counts = []
@@ -474,6 +518,7 @@ class TestExactRepresentation:
             (m.zero(), (0, 0)),
             (DivisorClass(m, (Fraction(2), Fraction(1, 2))), (2, Fraction(1, 2))),
             (m.divisor("H") * Fraction(1, 2), (Fraction(1, 2), 0)),
+            (DivisorClass(blowup_points(P(3), 2), (Fraction(4, 2), True, 0)), (2, 1, 0)),
         ):
             assert cls.coeffs == expected
             assert [type(c) for c in cls.coeffs] == [type(c) for c in expected], cls
@@ -525,9 +570,17 @@ _OTHER_H = P(3).divisor("H")  # a class of another P(3)
     (lambda: ring.evaluate(_P3, 5), TypeError, "not a class expression: 5"),
     (lambda: parser.pretty_print(5), TypeError, "not a class expression: 5"),
     (lambda: setattr(_H, "coeffs", (2,)), AttributeError, "DivisorClass is immutable"),
+    # one object in several slots is checked once, at its first, with the same errors
+    (lambda: intersection_number(_P3, [_H] * 2), DegreeError, "expected 3 classes, got 2"),
+    (lambda: intersection_number(_P3, [0] * 3), TypeError, "expected a divisor class, got 0"),
+    (lambda: intersection_number(_P3, [_OTHER_H] * 3), ForeignClassError,
+     "divisor class belongs to a different model"),
+    (lambda: intersection_number(_P3, [_H, _OTHER_H, _OTHER_H]), ForeignClassError,
+     "divisor class belongs to a different model"),
 ], ids=["too-few-classes", "not-a-class", "foreign-class", "class-plus-int", "foreign-summand",
         "foreign-half-branch", "foreign-hypersurface", "pencil-on-surface", "fibration-on-surface",
-        "form-value-arity", "evaluate-non-expression", "print-non-expression", "immutable-class"])
+        "form-value-arity", "evaluate-non-expression", "print-non-expression", "immutable-class",
+        "repeated-too-few", "repeated-not-a-class", "repeated-foreign", "foreign-repeated-later"])
 def test_error_branch(call, error, message):
     with pytest.raises(error) as exc:
         call()
