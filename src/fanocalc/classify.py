@@ -168,25 +168,23 @@ def epsilon_of_family(family: FamilyId | str) -> EpsilonResult:
 class GeneralBound(NamedTuple):
     status: str  # 'exact' | 'lower_bound'
     value: Fraction
-    conjectural: bool
-    unconditional: Fraction  # 1/n holds with no hypothesis on the index
 
 
 def epsilon_general(n: int, r: int) -> GeneralBound:
     """Seshadri constant of -K at a very general point of an n-dimensional
-    Fano of index r, as far as it is known."""
+    Fano of index r, as far as it is known.  Below index n - 3 the lower
+    bound 1 is conjectural; the lower bound 1/n holds for every index."""
     if n < 2:
         raise UnsupportedDimensionError(f"dimension must be at least 2, got {n}")
     if not 1 <= r <= n + 1:
         raise ValueError(f"Fano index must satisfy 1 <= r <= {n + 1}, got {r}")
-    unconditional = Fraction(1, n)
     if r == n + 1:
-        return GeneralBound("exact", Fraction(n + 1), False, unconditional)
+        return GeneralBound("exact", Fraction(n + 1))
     if r >= max(2, n - 2):
-        return GeneralBound("exact", Fraction(r), False, unconditional)
+        return GeneralBound("exact", Fraction(r))
     if r >= n - 3:
-        return GeneralBound("lower_bound", Fraction(r), False, unconditional)
-    return GeneralBound("lower_bound", Fraction(1), True, unconditional)
+        return GeneralBound("lower_bound", Fraction(r))
+    return GeneralBound("lower_bound", Fraction(1))
 
 
 def _ids(*texts: str) -> frozenset[FamilyId]:

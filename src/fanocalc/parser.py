@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple, Union
 
 from .errors import ParseError
@@ -41,11 +42,11 @@ class _Value:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        # compiled once per class, as collections.namedtuple compiles its __new__:
-        # a loop over the fields makes building a node twice as slow
+        # compiled once per class, as collections.namedtuple compiles its __new__: a loop
+        # over the fields is twice as slow, and each slot's descriptor skips a lookup by name
         if "__init__" not in vars(cls):
-            body = "".join(f"\n _set(self, {n!r}, {n})" for n in cls.__slots__)
-            scope = {"_set": object.__setattr__}
+            body = "".join(f"\n _set_{n}(self, {n})" for n in cls.__slots__)
+            scope = {f"_set_{n}": vars(cls)[n].__set__ for n in cls.__slots__}
             exec(f"def __init__(self, {', '.join(cls.__slots__)}):{body}", scope)
             cls.__init__ = scope["__init__"]
 
@@ -141,20 +142,33 @@ def _operand(expr: ClassExpr, needs: int) -> str:
 # three general classes on Bl_20 P^3 take 386.
 MAX_TOKENS = 400
 
-# every non-space character starts a match, a token or a bad one
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^/()\[\]{}=,:]|−)|(?P<bad>\S))"
-)
+_OPS = "-+*^/()[]{}=,:−"  # the Unicode minus is read as "-"
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+
+# every non-space character starts a match: an int, a name, an op or, last, a bad one
+_TOKEN_RE = re.compile(rf"\d+|[A-Za-z][A-Za-z0-9_]*|[{re.escape(_OPS)}]|\S")
+
+
+def _scan(text: str) -> list[str]:
+    """The texts of the first MAX_TOKENS + 1 tokens of ``text``, then "" for its end, from
+    one regex call and without positions.  The rules read a token's kind from its text as
+    _TOKEN_RE's alternatives define it: an int is ``str.isdecimal``, as ``\\d`` is, a name
+    starts in _NAME_START, an op is its text, and no rule takes a bad token."""
+    text = text.replace("−", "-")
+    if len(text) > MAX_TOKENS + 1:  # room for more tokens than that: stop the scan there
+        return [*map(re.Match.group, islice(_TOKEN_RE.finditer(text), MAX_TOKENS + 1)), ""]
+    return _TOKEN_RE.findall(text) + [""]
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, pos) per token, kind 'int', 'name', 'op' or 'eof'."""
+    """(kind, text, pos) per token, kind 'int', 'name', 'op' or 'eof', pos in code points.
+    A parse calls this only for an error: a bad character or the token past MAX_TOKENS
+    is reported first, and any other error at its token's position."""
     toks = []
-    for m in _TOKEN_RE.finditer(text):  # trailing whitespace matches nothing
-        kind = m.lastgroup
-        tok = m[kind]
-        pos = m.start(kind)
-        if kind == "bad":
+    for m in _TOKEN_RE.finditer(text):  # whitespace matches nothing
+        tok, pos = m[0], m.start()
+        kind = "int" if tok.isdecimal() else "name" if tok[0] in _NAME_START else "op"
+        if kind == "op" and tok not in _OPS:  # the last alternative: one character
             raise ParseError(f"unexpected character {tok!r}", pos)
         if len(toks) == MAX_TOKENS:
             raise ParseError(f"input is longer than {MAX_TOKENS} tokens", pos)
@@ -163,29 +177,30 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
-class _TokenStream:
-    """Tokens read in order; ``kind``, ``text`` and ``pos`` are the current token's.
-    Only an op token has an operator's text, so ``ts.text == "("`` tests for that op."""
+def _parse(text: str, rule, what: str):
+    """``rule``'s tree for all of ``text``.  The rules below take the token texts and
+    the index of their first token and return a tree and the index after it; their
+    ParseErrors carry that token's index, which becomes a byte offset only here."""
+    toks = _scan(text)
+    try:
+        if len(toks) > MAX_TOKENS + 1:
+            raise ParseError(f"input is longer than {MAX_TOKENS} tokens", MAX_TOKENS)
+        tree, i = rule(toks, 0)
+        if toks[i]:
+            raise ParseError(f"expected end of {what}", i)
+    except ParseError as exc:
+        try:
+            exc = ParseError(exc.message, _tokenize(text)[exc.offset][2])
+        except ParseError as first:  # a bad character or too many tokens
+            exc = first
+        raise _in_bytes(exc, text) from None
+    return tree
 
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.i = 0
-        self.kind, self.text, self.pos = self.toks[0]
 
-    def advance(self) -> tuple[str, str, int]:
-        t = self.toks[self.i]
-        if self.kind != "eof":
-            self.i += 1
-            self.kind, self.text, self.pos = self.toks[self.i]
-        return t
-
-    def expect_op(self, op: str, what: str | None = None) -> None:
-        if self.text != op:
-            raise ParseError(what or f"expected {op!r}", self.pos)
-        self.advance()
-
-    def fail(self, what: str):
-        raise ParseError(what, self.pos)
+def _expect(toks: list[str], i: int, op: str, what: str) -> int:
+    if toks[i] != op:
+        raise ParseError(what, i)
+    return i + 1
 
 
 # --------------------------------------------------------------------------
@@ -199,30 +214,23 @@ def _in_bytes(exc: ParseError, text: str) -> ParseError:
 
 
 def parse_class_expr(text: str) -> ClassExpr:
-    try:
-        ts = _TokenStream(text)
-        expr = _parse_expr(ts)
-        if ts.kind != "eof":
-            ts.fail("expected end of expression")
-    except ParseError as exc:
-        raise _in_bytes(exc, text) from None
-    return expr
+    return _parse(text, _parse_expr, "expression")
 
 
-def _parse_expr(ts: _TokenStream) -> ClassExpr:
-    node = _parse_term(ts)
-    while ts.text in _SUM_OPS:
-        make = _SUM_OPS[ts.advance()[1]]
-        node = make(node, _parse_term(ts))
-    return node
+def _parse_expr(toks: list[str], i: int) -> tuple[ClassExpr, int]:
+    node, i = _parse_term(toks, i)
+    while (op := toks[i]) in _SUM_OPS:
+        right, i = _parse_term(toks, i + 1)
+        node = _SUM_OPS[op](node, right)
+    return node, i
 
 
-def _parse_term(ts: _TokenStream) -> ClassExpr:
-    node = _parse_factor(ts)
-    while ts.text in _PRODUCT_OPS:
-        make = _PRODUCT_OPS[ts.advance()[1]]
-        node = make(node, _parse_factor(ts))
-    return node
+def _parse_term(toks: list[str], i: int) -> tuple[ClassExpr, int]:
+    node, i = _parse_factor(toks, i)
+    while (op := toks[i]) in _PRODUCT_OPS:
+        right, i = _parse_factor(toks, i + 1)
+        node = _PRODUCT_OPS[op](node, right)
+    return node, i
 
 
 def _int_literal(text: str, offset: int) -> int:
@@ -232,53 +240,53 @@ def _int_literal(text: str, offset: int) -> int:
         raise ParseError("integer literal is too long", offset) from None
 
 
-def _parse_uint(ts: _TokenStream, what: str) -> int:
-    if ts.kind != "int":
-        ts.fail(what)
-    _, text, pos = ts.advance()
-    return _int_literal(text, pos)
+def _parse_uint(toks: list[str], i: int, what: str) -> tuple[int, int]:
+    if not toks[i].isdecimal():
+        raise ParseError(what, i)
+    return _int_literal(toks[i], i), i + 1
 
 
-def _parse_number(ts: _TokenStream) -> Num:
-    p = _parse_uint(ts, "expected number")
-    if ts.text == "/":
-        ts.advance()
-        q = _parse_uint(ts, "expected denominator")
-        if q == 0:
-            raise ParseError("zero denominator", ts.toks[ts.i - 1][2])
-        return Num(p // q if p % q == 0 else Fraction(p, q))
-    return Num(p)
+def _parse_number(toks: list[str], i: int) -> tuple[Num, int]:
+    p = _int_literal(toks[i], i)  # the caller saw a decimal token
+    if toks[i + 1] != "/":
+        return Num(p), i + 1
+    q, i = _parse_uint(toks, i + 2, "expected denominator")
+    if q == 0:
+        raise ParseError("zero denominator", i - 1)
+    return Num(p // q if p % q == 0 else Fraction(p, q)), i
 
 
-def _parse_primary_pow(ts: _TokenStream) -> ClassExpr:
-    if ts.kind == "name":
-        node: ClassExpr = Sym(ts.advance()[1])
-    else:  # "(": both callers check for a name or "(" first
-        ts.advance()
-        node = _parse_expr(ts)
-        ts.expect_op(")", "expected ')'")
-    if ts.text == "^":
-        ts.advance()
-        node = Pow(node, _parse_uint(ts, "expected integer exponent"))
-    return node
+def _parse_primary_pow(toks: list[str], i: int) -> tuple[ClassExpr, int]:
+    if toks[i] == "(":
+        node, i = _parse_expr(toks, i + 1)
+        i = _expect(toks, i, ")", "expected ')'")
+    else:  # a name: both callers check for a name or "(" first
+        node, i = Sym(toks[i]), i + 1
+    if toks[i] == "^":
+        exp, i = _parse_uint(toks, i + 1, "expected integer exponent")
+        node = Pow(node, exp)
+    return node, i
 
 
-def _parse_factor(ts: _TokenStream) -> ClassExpr:
-    if ts.text == "-":
-        ts.advance()
-        return Neg(_parse_factor(ts))
-    if ts.kind == "int":
-        num = _parse_number(ts)
+def _parse_factor(toks: list[str], i: int) -> tuple[ClassExpr, int]:
+    tok = toks[i]
+    if tok == "-":
+        node, i = _parse_factor(toks, i + 1)
+        return Neg(node), i
+    if tok.isdecimal():
+        num, i = _parse_number(toks, i)
+        tok = toks[i]
         # coefficient-juxtaposition: "2L", "9L^3", "3(H+E)"  -- scalar times factor
-        if ts.kind == "name" or ts.text == "(":
-            return Mul(num, _parse_primary_pow(ts))
-        if ts.text == "^":
-            ts.advance()
-            return Pow(num, _parse_uint(ts, "expected integer exponent"))
-        return num
-    if ts.kind == "name" or ts.text == "(":
-        return _parse_primary_pow(ts)
-    ts.fail("expected atom")
+        if tok == "(" or tok[:1] in _NAME_START:
+            node, i = _parse_primary_pow(toks, i)
+            return Mul(num, node), i
+        if tok == "^":
+            exp, i = _parse_uint(toks, i + 1, "expected integer exponent")
+            return Pow(num, exp), i
+        return num, i
+    if tok == "(" or tok[:1] in _NAME_START:
+        return _parse_primary_pow(toks, i)
+    raise ParseError("expected atom", i)
 
 
 # --------------------------------------------------------------------------
@@ -368,69 +376,63 @@ _KINDS = {
 
 
 def parse_recipe(text: str) -> Call:
-    try:
-        ts = _TokenStream(text)
-        recipe = _parse_recipe_call(ts)
-        if ts.kind != "eof":
-            ts.fail("expected end of recipe")
-    except ParseError as exc:
-        raise _in_bytes(exc, text) from None
-    return recipe
+    return _parse(text, _parse_recipe_call, "recipe")
 
 
-def _parse_items(ts: _TokenStream, close: str, parse_item) -> list:
+def _parse_items(toks: list[str], i: int, close: str, parse_item) -> tuple[list, int]:
     """Comma-separated items up to the closing bracket ``close``."""
     items = []
-    if ts.text != close:
-        items.append(parse_item(ts))
-        while ts.text == ",":
-            ts.advance()
-            items.append(parse_item(ts))
-    ts.expect_op(close, f"expected {close!r} or ','")
-    return items
+    if toks[i] != close:
+        item, i = parse_item(toks, i)
+        items.append(item)
+        while toks[i] == ",":
+            item, i = parse_item(toks, i + 1)
+            items.append(item)
+    return items, _expect(toks, i, close, f"expected {close!r} or ','")
 
 
-def _parse_recipe_call(ts: _TokenStream) -> Call:
-    if ts.kind != "name" or ts.text not in _SIGNATURES:
-        ts.fail("expected a recipe constructor")
-    _, name, pos = ts.advance()
-    ts.expect_op("(", "expected '('")
-    return _bind(name, pos, _parse_items(ts, ")", _parse_argument))
+def _parse_recipe_call(toks: list[str], i: int) -> tuple[Call, int]:
+    if toks[i] not in _SIGNATURES:
+        raise ParseError("expected a recipe constructor", i)
+    items, end = _parse_items(toks, _expect(toks, i + 1, "(", "expected '('"), ")", _parse_argument)
+    return _bind(toks[i], i, items), end
 
 
-def _parse_argument(ts: _TokenStream) -> tuple[str | None, object]:
+def _parse_argument(toks: list[str], i: int) -> tuple[tuple[str | None, object], int]:
     key = None
-    if ts.kind == "name" and ts.toks[ts.i + 1][1] == "=":
-        key = ts.advance()[1]
-        ts.advance()  # '='
-    if ts.text in _SIGNATURES and ts.toks[ts.i + 1][1] == "(":
-        return key, _parse_recipe_call(ts)
-    if ts.text == "[":
-        ts.advance()
-        return key, _parse_items(ts, "]", _parse_expr)
-    if ts.text == "{":
-        ts.advance()
-        return key, tuple(_parse_items(ts, "}", _parse_degree))
-    return key, _parse_expr(ts)
+    if toks[i][:1] in _NAME_START and toks[i + 1] == "=":
+        key, i = toks[i], i + 2
+    tok = toks[i]
+    if tok in _SIGNATURES and toks[i + 1] == "(":
+        value, i = _parse_recipe_call(toks, i)
+    elif tok == "[":
+        value, i = _parse_items(toks, i + 1, "]", _parse_expr)
+    elif tok == "{":
+        degrees, i = _parse_items(toks, i + 1, "}", _parse_degree)
+        value = tuple(degrees)
+    else:
+        value, i = _parse_expr(toks, i)
+    return (key, value), i
 
 
-def _parse_degree(ts: _TokenStream) -> tuple[str, int]:
-    if ts.kind != "name":
-        ts.fail("expected basis symbol")
-    name = ts.advance()[1]
-    ts.expect_op(":", "expected ':'")
+def _parse_degree(toks: list[str], i: int) -> tuple[tuple[str, int], int]:
+    name = toks[i]
+    if name[:1] not in _NAME_START:
+        raise ParseError("expected basis symbol", i)
+    i = _expect(toks, i + 1, ":", "expected ':'")
     sign = 1
-    if ts.text == "-":
-        ts.advance()
-        sign = -1
-    return name, sign * _parse_uint(ts, "expected integer")
+    if toks[i] == "-":
+        sign, i = -1, i + 1
+    degree, i = _parse_uint(toks, i, "expected integer")
+    return (name, sign * degree), i
 
 
-def _bind(name: str, pos: int, items: list[tuple[str | None, object]]) -> Call:
-    """The Call for a constructor's arguments, checked against its signature."""
+def _bind(name: str, at: int, items: list[tuple[str | None, object]]) -> Call:
+    """The Call for a constructor's arguments, checked against its signature; an error is
+    raised at token index ``at``, the constructor's name."""
 
     def bad(msg: str):
-        raise ParseError(f"{name}: {msg}", pos)
+        raise ParseError(f"{name}: {msg}", at)
 
     positional = [v for key, v in items if key is None]
     keywords: dict[str, object] = {}

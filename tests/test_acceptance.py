@@ -99,16 +99,15 @@ def test_criterion_5_rank_one_and_general_rules():
     for n in range(3, 9):
         for r in range(1, n + 2):
             res = epsilon_general(n, r)
-            assert res.unconditional == Fraction(1, n)
+            assert res.value >= Fraction(1, n)
             if r == n + 1:
                 assert (res.status, res.value) == ("exact", Fraction(n + 1))
             elif r >= max(2, n - 2):
                 assert (res.status, res.value) == ("exact", Fraction(r))
             elif r >= n - 3:
-                assert (res.status, res.value, res.conjectural) == (
-                    "lower_bound", Fraction(r), False)
+                assert (res.status, res.value) == ("lower_bound", Fraction(r))
             else:
-                assert (res.status, res.conjectural) == ("lower_bound", True)
+                assert (res.status, res.value) == ("lower_bound", Fraction(1))
     _verdict(5, "rank-one-and-index-rules")
 
 

@@ -22,8 +22,8 @@ from fanocalc.parser import (
     parse_recipe,
     pretty_print,
 )
+from fanocalc import catalog, ring
 from fanocalc import parser as pmod
-from fanocalc import ring
 
 H, E = Sym("H"), Sym("E")
 
@@ -143,6 +143,52 @@ class TestTokenLimits:
     def test_trailing_whitespace_is_skipped(self):
         assert parse_class_expr("H^3 \t\n") == Pow(Sym("H"), 3)
 
+    # one token per code point; and one per two, where the limit is reported before the
+    # grammar error that the second token already is
+    @pytest.mark.parametrize("text, offset", [("H+" * 500000 + "H", 400), ("H " * 10**6, 800)])
+    def test_a_million_tokens_make_one_past_the_limit(self, monkeypatch, text, offset):
+        made = []  # tokens made by each regex call
+
+        class CountingPattern:
+            def findall(self, text):
+                toks = real.findall(text)
+                made.append(len(toks))
+                return toks
+
+            def finditer(self, text):
+                made.append(0)
+                for m in real.finditer(text):
+                    made[-1] += 1
+                    yield m
+
+        real = pmod._TOKEN_RE
+        monkeypatch.setattr(pmod, "_TOKEN_RE", CountingPattern())
+        with pytest.raises(ParseError, match="input is longer than 400 tokens") as exc:
+            parse_class_expr(text)
+        assert exc.value.offset == offset
+        assert made and max(made) == pmod.MAX_TOKENS + 1  # the scan, then the error's offset
+
+    def test_offsets_are_found_only_for_errors(self, monkeypatch):
+        calls = []
+        tokenize = pmod._tokenize
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(pmod, "_tokenize", counting_tokenize)
+        parse_class_expr("(4*H-2*E1-2*E2-2*E3)^3")
+        parse_recipe("bundle(blowup_point(P(2), count=4), summands=[0, H-E1, 2*H-E2-E3])")
+        catalog.recipes.__wrapped__()  # every curated recipe text, bypassing the cache
+        assert calls == []
+        for parse, text in [(parse_class_expr, "H+@"), (parse_class_expr, "2*^H"),
+                            (parse_recipe, "blowup_point(P(3), count=1, count=2)"),
+                            (parse_recipe, "+".join(["H"] * 201))]:
+            calls.clear()
+            with pytest.raises(ParseError):
+                parse(text)
+            assert calls == [text]
+
     @pytest.mark.parametrize("text, message, offset", [
         ("  @H", "unexpected character '@'", 2),
         ("   ", "expected atom", 3),
@@ -172,6 +218,20 @@ def test_tokens_start_at_their_offsets(text):
         parse_class_expr(text)
     except ParseError as exc:
         assert 0 <= exc.offset <= len(text.encode())
+
+
+def test_non_ascii_decimal_digits_are_digits():
+    # \d and int() take every Unicode decimal digit, not only ASCII ones; the
+    # catalog's epsilon field, by contrast, takes ASCII digits only
+    assert parse_recipe("P(\u0663)") == Call("P", (3,))  # ARABIC-INDIC DIGIT THREE
+    assert ring.model_from_recipe("P(\u0663)").dimension == 3
+    assert parse_class_expr("H^\uff13") == Pow(Sym("H"), 3)  # FULLWIDTH DIGIT THREE
+    assert ring.model_from_recipe("P(3)").evaluate("(\uff12*H)^\uff13") == 8
+    assert parse_family_id("\u0663.\u0661") == FamilyId(3, 1)
+    with pytest.raises(ParseError, match="unexpected character '\xb2'"):  # not a decimal
+        parse_class_expr("H^\xb2")
+    with pytest.raises(ValueError):
+        catalog._parse_epsilon("\u0663/2")
 
 
 class TestFamilyId:
