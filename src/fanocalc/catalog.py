@@ -3,9 +3,9 @@
 The family universe (105 deformation families keyed by ``rho.N``) ships as a
 plain TSV data file so it can be reviewed and diffed.  On top of the raw
 records a second TSV curates construction recipes for the families whose
-numeric invariants the package recomputes from scratch: a middle variety Y,
-a pencil class L, the blow-up center, and a splitting of the anticanonical
-class on the final threefold.  It is read and parsed once, on first use.
+numeric invariants the package recomputes from scratch: a middle variety Y
+and a pencil class L on it, or a splitting of -K on the threefold; no blow-up
+center, which realization derives.  It is read and parsed once, on first use.
 """
 
 from __future__ import annotations
@@ -166,7 +166,6 @@ class RealizedFamily(NamedTuple):
     middle: ring.VarietyModel          # Y (equals model without a pencil)
     model: ring.VarietyModel           # X
     pencil: Optional[ring.DivisorClass]  # L on Y
-    center: Optional[tuple[int, dict[str, int]]]  # (genus, degrees) of the curve blown up
     d1: ring.DivisorClass
     d2: ring.DivisorClass
     free: tuple[bool, bool]
@@ -232,15 +231,14 @@ def realize_recipe(family: FamilyId) -> RealizedFamily:
         raise NoRecipeError(f"no construction recipe curated for family {family}") from None
     middle = ring.model_from_recipe(rec.middle)
     if rec.pencil is None:
-        model, pencil, center = middle, None, None
+        model, pencil = middle, None
         d1 = model.divisor(rec.d1)
     else:
         # complete-intersection blow-up: D1 = f*L - E
         pencil = middle.divisor(rec.pencil)
-        center = ci_curve_center(middle, pencil)
-        model = ring.make_blowup(middle, *center)
+        model = ring.make_blowup(middle, *ci_curve_center(middle, pencil))
         d1 = ring.DivisorClass(model, pencil.coeffs + (-1,))
     d2 = model.anticanonical - d1
     return RealizedFamily(
-        middle, model, pencil, center, d1, d2, (True, not rec.nef_big_second), rec.nef_big_second
+        middle, model, pencil, d1, d2, (True, not rec.nef_big_second), rec.nef_big_second
     )

@@ -89,15 +89,6 @@ def pencil_check(model: ring.VarietyModel, d: ring.DivisorClass) -> bool:
     return _pencil_test(model, d)[0]
 
 
-def fibration_degree(ambient_y: ring.VarietyModel, pencil: ring.DivisorClass) -> Fraction:
-    """Anticanonical degree of the general fiber after blowing up the base
-    locus of |L|: (-K_Y - L)^2 . L.  Kept as the tests' reference for verify."""
-    if ambient_y.dimension != 3:
-        raise UnsupportedDimensionError("fibration degree requires a threefold")
-    rest = ambient_y.anticanonical - pencil
-    return ring.intersection_number(ambient_y, [rest, rest, pencil])
-
-
 def classify_splitting(s: Splitting, ell_hint: Optional[int] = None) -> ClassificationOutcome:
     """Resolve the Seshadri constant of -K from a splitting.
 
@@ -196,16 +187,6 @@ _DP_SETS = {
     2: _ids("2.2", "2.3", "9.1"),
     3: _ids("2.4", "2.5", "3.2", "8.1"),
 }
-
-
-def families_with_dp_fibration(d: int) -> frozenset[FamilyId]:
-    """Families with a del Pezzo fibration of low degree d in {1,2,3}."""
-    if d not in _DP_SETS:
-        raise ValueError(f"only degrees 1..3 are tabulated, got {d}")
-    found = frozenset(rec.id for rec in catalog.list_families(dp_degree=d))
-    if found != _DP_SETS[d]:
-        raise InconsistentModelError(f"catalog dp-fibration set for degree {d} is off")
-    return found
 
 
 # --------------------------------------------------------------------------

@@ -136,10 +136,10 @@ def _operand(expr: ClassExpr, needs: int) -> str:
 # tokenizer (shared by both grammars)
 # --------------------------------------------------------------------------
 
-# Longest class expression or recipe accepted, in tokens.  The parser recurses
-# at most twice per token and a walk over its tree no more (a sum chain is a loop,
-# so that bound is loose), which keeps within the default recursion limit of 1000;
-# three general classes on Bl_20 P^3 take 386.
+# Longest class expression or recipe accepted, in tokens (three general classes on
+# Bl_20 P^3 take 386).  The parser recurses at most twice per token; hash, pretty_print
+# and ring.evaluate walk a chain of 399 minus signs within the default recursion limit
+# of 1000, but repr and == overflow past 247 and 331 (Python 3.11).  No command calls them.
 MAX_TOKENS = 400
 
 _OPS = "-+*^/()[]{}=,:−"  # the Unicode minus is read as "-"

@@ -108,12 +108,6 @@ class IntersectionForm(pmod._Value):
 
     __slots__ = ("dimension", "entries")
 
-    def value(self, indices: Iterable[int]) -> Fraction:
-        key = tuple(sorted(indices))
-        if len(key) != self.dimension:
-            raise DegreeError(f"expected {self.dimension} indices, got {len(key)}")
-        return Fraction(self.entries.get(key, 0))
-
 
 def _freeze_entries(raw: Mapping[tuple[int, ...], Rational]) -> dict[tuple[int, ...], Rational]:
     return {tuple(sorted(k)): _exact(v) for k, v in raw.items() if v != 0}
@@ -165,9 +159,6 @@ class VarietyModel:
         if i is None:
             raise UnknownSymbolError(f"unknown symbol {symbol!r} on model {self.name}")
         return i
-
-    def zero(self) -> DivisorClass:
-        return DivisorClass(self, (0,) * len(self.basis))
 
     def divisor(self, source: Union[str, pmod.ClassExpr, DivisorClass]) -> DivisorClass:
         """Linear class expression (or literal 0) as a divisor class."""

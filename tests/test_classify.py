@@ -9,8 +9,6 @@ from fanocalc.classify import (
     dp_surface_epsilon,
     epsilon_general,
     epsilon_of_family,
-    families_with_dp_fibration,
-    fibration_degree,
     pencil_check,
     verify_paper,
 )
@@ -82,7 +80,8 @@ class TestFibrationDegree:
     @pytest.mark.parametrize("fid,expected", sorted(APPENDIX.items()))
     def test_appendix_rows(self, fid, expected):
         real = catalog.realize_recipe(parse_family_id(fid))
-        assert fibration_degree(real.middle, real.pencil) == expected
+        names = {"A": real.middle.anticanonical, "P": real.pencil}
+        assert ring.evaluate(real.middle, "(A-P)^2*P", names) == expected
 
     @pytest.mark.parametrize("fid,expected", sorted(APPENDIX.items()))
     def test_agrees_with_blowup_computation(self, fid, expected):
@@ -291,26 +290,12 @@ class TestEpsilonGeneral:
 
 class TestDpFibrationSets:
     def test_tabulated_sets(self):
-        assert {str(f) for f in families_with_dp_fibration(1)} == {"2.1", "10.1"}
-        assert {str(f) for f in families_with_dp_fibration(2)} == {"2.2", "2.3", "9.1"}
-        assert {str(f) for f in families_with_dp_fibration(3)} == {
-            "2.4", "2.5", "3.2", "8.1"
-        }
+        def ids(d):
+            return {str(rec.id) for rec in catalog.list_families(dp_degree=d)}
 
-    def test_range(self):
-        with pytest.raises(ValueError):
-            families_with_dp_fibration(4)
-
-    def test_catalog_off_the_table_is_loud(self, tmp_path, monkeypatch):
-        with open(catalog.data_path(), encoding="utf-8") as fh:
-            text = fh.read()
-        tampered = text.replace("2.3\t2\t1\t4/3\tknown\t2\t", "2.3\t2\t1\t4/3\tknown\t-\t")
-        assert tampered != text
-        alt = tmp_path / "families.tsv"
-        alt.write_text(tampered, encoding="utf-8")
-        monkeypatch.setenv(catalog.DATA_ENV_VAR, str(alt))
-        with pytest.raises(InconsistentModelError, match="catalog dp-fibration set for degree 2 is off"):
-            families_with_dp_fibration(2)
+        assert ids(1) == {"2.1", "10.1"}
+        assert ids(2) == {"2.2", "2.3", "9.1"}
+        assert ids(3) == {"2.4", "2.5", "3.2", "8.1"}
 
 
 class TestVerifyPaper:

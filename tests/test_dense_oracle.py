@@ -4,7 +4,7 @@
 the ``dense_*_entries`` reference builders derive each form entry from
 every sorted index tuple, as the constructors in ``fanocalc.ring`` did
 before they were made to touch only stored entries.  Nothing here shares
-code with the engine beyond ``IntersectionForm.value``.
+code with the engine: ``form_value`` reads ``IntersectionForm.entries`` directly.
 """
 
 import itertools
@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from fanocalc import catalog, ring
-from fanocalc.classify import Splitting, classify_splitting, fibration_degree, pencil_check
+from fanocalc.classify import Splitting, classify_splitting, pencil_check
 from fanocalc.errors import GeometryError
 from fanocalc.ring import (
     DivisorClass,
@@ -42,6 +42,11 @@ def P(n):
 # dense oracle and reference builders
 
 
+def form_value(form, indices):
+    """The form's entry at ``indices``, in any order; unlisted entries are zero."""
+    return Fraction(form.entries.get(tuple(sorted(indices)), 0))
+
+
 def dense_contract(form, m, vectors):
     total = Fraction(0)
     for indices in itertools.product(range(m), repeat=form.dimension):
@@ -51,7 +56,7 @@ def dense_contract(form, m, vectors):
             if coeff == 0:
                 break
         if coeff != 0:
-            total += coeff * form.value(indices)
+            total += coeff * form_value(form, indices)
     return total
 
 
@@ -79,7 +84,7 @@ def dense_blowup_entries(ambient, genus=None, degrees=None):
         c = tup.count(e_idx)
         rest = [i for i in tup if i != e_idx]
         if c == 0:
-            entries[tup] = ambient.form.value(rest)
+            entries[tup] = form_value(ambient.form, rest)
         elif c == n:
             entries[tup] = e_top
         elif n == 3 and c == 2 and curve:
@@ -102,7 +107,7 @@ def dense_product_entries(factors):
             if len(sub) != f.dimension:
                 value = Fraction(0)
                 break
-            value *= f.form.value(sub)
+            value *= form_value(f.form, sub)
         entries[tup] = value
     return _nonzero(entries)
 
@@ -112,7 +117,7 @@ def dense_divisor_entries(ambient, h):
     entries = {}
     for tup in itertools.combinations_with_replacement(range(m), 3):
         entries[tup] = sum(
-            (h.coeffs[i] * ambient.form.value(tup + (i,)) for i in range(m)), Fraction(0)
+            (h.coeffs[i] * form_value(ambient.form, tup + (i,)) for i in range(m)), Fraction(0)
         )
     return _nonzero(entries)
 
@@ -163,7 +168,7 @@ def dense_bundle_entries(base, summands):
         for (zp, mk), coeff in terms.items():
             if zp == r - 1 and sum(mk) == d:
                 indices = [i for i, e in enumerate(mk) for _ in range(e)]
-                total += coeff * base.form.value(indices)
+                total += coeff * form_value(base.form, indices)
         return total
 
     entries = {}
@@ -600,7 +605,8 @@ def test_fiber_degree_is_read_from_the_pencil_tests():
         if recipe.pencil is None:
             continue
         real = catalog.realize_recipe(fid)
-        expected = fibration_degree(real.middle, real.pencil)
+        names = {"A": real.middle.anticanonical, "P": real.pencil}
+        expected = ring.evaluate(real.middle, "(A-P)^2*P", names)
         assert dense_intersection_number(real.model, [real.d2, real.d2, real.d1]) == expected
         for split, side in ((Splitting(real.d1, real.d2), "first"),
                             (Splitting(real.d2, real.d1), "second")):
@@ -611,7 +617,7 @@ def test_fiber_degree_is_read_from_the_pencil_tests():
 
 def test_bundle_without_positive_reference_class():
     base = P(1)
-    classes = [base.zero(), base.divisor("-200*H")]
+    classes = [base.divisor("0"), base.divisor("-200*H")]
     assert dense_bundle_shift(base, classes, dense_bundle_entries(base, classes)) is None
     with pytest.raises(GeometryError, match="positive reference class"):
         make_projective_bundle(base, classes)

@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from fanocalc.parser import (
     pretty_print,
 )
 from fanocalc import catalog, ring
+from fanocalc.cli import main
 from fanocalc import parser as pmod
 
 H, E = Sym("H"), Sym("E")
@@ -139,6 +141,18 @@ class TestTokenLimits:
         with pytest.raises(ParseError, match="input is longer than 400 tokens") as exc:
             parse_class_expr(text)
         assert exc.value.offset == 400
+
+    def test_deepest_trees_answer_under_the_default_recursion_limit(self, capsys):
+        minus_chain = "-" * 399 + "H"  # 400 tokens, 399 nested Neg
+        nested_groups = "(" * 198 + "H" + ")" * 198 + "^3"  # 399 tokens
+        assert len(pmod._tokenize(nested_groups)) == pmod.MAX_TOKENS  # and the end token
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            codes = [main(["deg", "P(1)", minus_chain]), main(["deg", "P(3)", nested_groups])]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (codes, capsys.readouterr().out) == ([0, 0], "-1\n1\n")
 
     def test_trailing_whitespace_is_skipped(self):
         assert parse_class_expr("H^3 \t\n") == Pow(Sym("H"), 3)
