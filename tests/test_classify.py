@@ -297,6 +297,21 @@ class TestDpFibrationSets:
         assert ids(2) == {"2.2", "2.3", "9.1"}
         assert ids(3) == {"2.4", "2.5", "3.2", "8.1"}
 
+    def test_catalog_off_the_table_is_loud(self, tmp_path, monkeypatch):
+        with open(catalog.data_path(), encoding="utf-8") as fh:
+            text = fh.read()
+        tampered = text.replace("2.3\t2\t1\t4/3\tknown\t2\t", "2.3\t2\t1\t4/3\tknown\t-\t")
+        assert tampered != text
+        alt = tmp_path / "families.tsv"
+        alt.write_text(tampered, encoding="utf-8")
+        monkeypatch.setenv(catalog.DATA_ENV_VAR, str(alt))
+        report = verify_paper()
+        failed = [c for c in report.checks if not c.passed]
+        assert not report.ok
+        assert [(c.section, c.name) for c in failed] == [("dp", "dp-degree-2-families")]
+        (check,) = failed
+        assert check.expected == "{2.2,2.3,9.1}" and check.actual == "{2.2,9.1}"
+
 
 class TestVerifyPaper:
     def test_all_checks_pass(self):
