@@ -160,27 +160,10 @@ def _scan(text: str) -> list[str]:
     return _TOKEN_RE.findall(text) + [""]
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, pos) per token, kind 'int', 'name', 'op' or 'eof', pos in code points.
-    A parse calls this only for an error: a bad character or the token past MAX_TOKENS
-    is reported first, and any other error at its token's position."""
-    toks = []
-    for m in _TOKEN_RE.finditer(text):  # whitespace matches nothing
-        tok, pos = m[0], m.start()
-        kind = "int" if tok.isdecimal() else "name" if tok[0] in _NAME_START else "op"
-        if kind == "op" and tok not in _OPS:  # the last alternative: one character
-            raise ParseError(f"unexpected character {tok!r}", pos)
-        if len(toks) == MAX_TOKENS:
-            raise ParseError(f"input is longer than {MAX_TOKENS} tokens", pos)
-        toks.append((kind, "-" if tok == "−" else tok, pos))
-    toks.append(("eof", "", len(text)))
-    return toks
-
-
 def _parse(text: str, rule, what: str):
     """``rule``'s tree for all of ``text``.  The rules below take the token texts and
     the index of their first token and return a tree and the index after it; their
-    ParseErrors carry that token's index, which becomes a byte offset only here."""
+    ParseErrors carry a token index, made a byte offset here by one bounded regex pass."""
     toks = _scan(text)
     try:
         if len(toks) > MAX_TOKENS + 1:
@@ -189,11 +172,13 @@ def _parse(text: str, rule, what: str):
         if toks[i]:
             raise ParseError(f"expected end of {what}", i)
     except ParseError as exc:
-        try:
-            exc = ParseError(exc.message, _tokenize(text)[exc.offset][2])
-        except ParseError as first:  # a bad character or too many tokens
-            exc = first
-        raise _in_bytes(exc, text) from None
+        # a bad token, read from the scan's texts, is reported before any other error
+        bad = [i for i, tok in enumerate(toks[:-1])
+               if not (tok.isdecimal() or tok[0] in _NAME_START or tok in _OPS)]
+        if bad:
+            exc = ParseError(f"unexpected character {toks[bad[0]]!r}", bad[0])
+        starts = [*map(re.Match.start, islice(_TOKEN_RE.finditer(text), len(toks) - 1)), len(text)]
+        raise _in_bytes(ParseError(exc.message, starts[exc.offset]), text) from None
     return tree
 
 

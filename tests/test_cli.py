@@ -282,14 +282,15 @@ class TestVerify:
     def test_tampered_data_fails(self, capsys, tmp_path, monkeypatch):
         with open(catalog.data_path(), encoding="utf-8") as fh:
             text = fh.read()
-        cases = [  # (row text, tampered, verify's options, the one FAIL line)
-            ("9.1\t9\t1\t4/3", "9.1\t9\t1\t2", [],  # 9.1's epsilon
-             "CHECK epsilon-4/3-families expected={2.2,2.3,9.1} actual={2.2,2.3} FAIL"),
+        cases = [  # (row text, tampered, verify's options, the FAIL lines)
+            ("9.1\t9\t1\t4/3", "9.1\t9\t1\t2", [],  # 9.1's epsilon; 76 is the paper's count
+             ["CHECK epsilon-4/3-families expected={2.2,2.3,9.1} actual={2.2,2.3} FAIL",
+              "CHECK epsilon-2-family-count expected=76 actual=77 FAIL"]),
             ("2.3\t2\t1\t4/3\tknown\t2\t", "2.3\t2\t1\t4/3\tknown\t-\t",  # 2.3's dp_degrees
              ["--only", "dp"],
-             "CHECK dp-degree-2-families expected={2.2,2.3,9.1} actual={2.2,9.1} FAIL"),
+             ["CHECK dp-degree-2-families expected={2.2,2.3,9.1} actual={2.2,9.1} FAIL"]),
         ]
-        for n, (row, tampered_row, options, fail_line) in enumerate(cases):
+        for n, (row, tampered_row, options, fail_lines) in enumerate(cases):
             tampered = text.replace(row, tampered_row)
             assert tampered != text
             alt = tmp_path / f"families{n}.tsv"
@@ -297,7 +298,7 @@ class TestVerify:
             monkeypatch.setenv(catalog.DATA_ENV_VAR, str(alt))
             code, out, _ = run(capsys, "verify", *options)
             assert code == 1
-            assert [line for line in out.splitlines() if line.endswith("FAIL")] == [fail_line]
+            assert [line for line in out.splitlines() if line.endswith("FAIL")] == fail_lines
 
 
     def test_bad_triple_is_a_fail_line(self, capsys, monkeypatch):

@@ -133,7 +133,7 @@ class TestErrors:
 class TestTokenLimits:
     def test_exactly_max_tokens_parses(self):
         text = "-" + "+".join(["H"] * (pmod.MAX_TOKENS // 2))
-        assert len(pmod._tokenize(text)) == pmod.MAX_TOKENS + 1  # and the end token
+        assert len(pmod._scan(text)) - 1 == pmod.MAX_TOKENS  # without the end marker
         parse_class_expr(text)
 
     def test_one_token_over_reports_that_token(self):
@@ -145,7 +145,7 @@ class TestTokenLimits:
     def test_deepest_trees_answer_under_the_default_recursion_limit(self, capsys):
         minus_chain = "-" * 399 + "H"  # 400 tokens, 399 nested Neg
         nested_groups = "(" * 198 + "H" + ")" * 198 + "^3"  # 399 tokens
-        assert len(pmod._tokenize(nested_groups)) == pmod.MAX_TOKENS  # and the end token
+        assert len(pmod._scan(nested_groups)) - 1 == pmod.MAX_TOKENS - 1  # without the end marker
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
@@ -183,14 +183,18 @@ class TestTokenLimits:
         assert made and max(made) == pmod.MAX_TOKENS + 1  # the scan, then the error's offset
 
     def test_offsets_are_found_only_for_errors(self, monkeypatch):
-        calls = []
-        tokenize = pmod._tokenize
+        calls = []  # the texts of the position passes, the only finditer calls on short texts
 
-        def counting_tokenize(text):
-            calls.append(text)
-            return tokenize(text)
+        class CountingPattern:
+            def findall(self, text):
+                return real.findall(text)
 
-        monkeypatch.setattr(pmod, "_tokenize", counting_tokenize)
+            def finditer(self, text):
+                calls.append(text)
+                return real.finditer(text)
+
+        real = pmod._TOKEN_RE
+        monkeypatch.setattr(pmod, "_TOKEN_RE", CountingPattern())
         parse_class_expr("(4*H-2*E1-2*E2-2*E3)^3")
         parse_recipe("bundle(blowup_point(P(2), count=4), summands=[0, H-E1, 2*H-E2-E3])")
         catalog.recipes.__wrapped__()  # every curated recipe text, bypassing the cache
@@ -223,15 +227,17 @@ _token_heavy = st.lists(st.sampled_from(
 @settings(max_examples=300, deadline=None)
 @given(_token_heavy)
 def test_tokens_start_at_their_offsets(text):
-    *toks, end = pmod._tokenize(text)
-    for kind, tok, pos in toks:
-        assert text[pos:pos + len(tok)].replace("\u2212", "-") == tok, (kind, tok, pos)
-    assert "".join(tok for _, tok, _ in toks) == text.replace(" ", "").replace("\u2212", "-")
-    assert end == ("eof", "", len(text))
-    try:
-        parse_class_expr(text)
-    except ParseError as exc:
-        assert 0 <= exc.offset <= len(text.encode())
+    *toks, end = pmod._scan(text)
+    assert "".join(toks) == text.replace(" ", "").replace("\u2212", "-")
+    assert end == ""
+    # every error offset is the UTF-8 byte start of a token, or the end of the text
+    offsets = {len(text[:m.start()].encode()) for m in pmod._TOKEN_RE.finditer(text)}
+    offsets.add(len(text.encode()))
+    for parse in (parse_class_expr, parse_recipe):
+        try:
+            parse(text)
+        except ParseError as exc:
+            assert exc.offset in offsets, (parse.__name__, exc)
 
 
 def test_non_ascii_decimal_digits_are_digits():

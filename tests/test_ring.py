@@ -319,7 +319,7 @@ class TestBlowup:
         counts = []
         for terms, tokens in ((20, 44), (194, 392)):
             text = cube_of_sum(terms)
-            assert len(parser._tokenize(text)) - 1 == tokens  # without the end token
+            assert len(parser._scan(text)) - 1 == tokens  # without the end marker
             calls.clear()
             model.evaluate(text)
             counts.append(len(calls))
