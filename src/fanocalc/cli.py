@@ -12,7 +12,6 @@ failed verification), 2 usage error (bad flags or malformed filter values).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -163,7 +162,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         code, payload, text = args.func(args)
-        print(json.dumps(payload) if args.json else text)
+        if args.json:
+            import json  # only --json needs it; every other call would pay for its import
+            text = json.dumps(payload)
+        print(text)
         return code
     except (FanoCalcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

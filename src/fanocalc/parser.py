@@ -35,8 +35,9 @@ from .errors import ParseError
 
 class _Value:
     """An immutable value whose fields are its ``__slots__``, given in order to
-    ``__init__`` unless the subclass defines its own.  Two values are equal,
-    and hash alike, when of one type with equal fields: ``Add(a, b) != Sub(a, b)``.
+    ``__init__`` unless the subclass defines its own; such an ``__init__`` checks its
+    arguments and sets the fields through ``_fill``.  Two values are equal, and hash
+    alike, when of one type with equal fields: ``Add(a, b) != Sub(a, b)``.
     """
 
     __slots__ = ()
@@ -44,11 +45,12 @@ class _Value:
     def __init_subclass__(cls):
         # compiled once per class, as collections.namedtuple compiles its __new__: a loop
         # over the fields is twice as slow, and each slot's descriptor skips a lookup by name
+        body = "".join(f"\n _set_{n}(self, {n})" for n in cls.__slots__)
+        scope = {f"_set_{n}": vars(cls)[n].__set__ for n in cls.__slots__}
+        exec(f"def _fill(self, {', '.join(cls.__slots__)}):{body}", scope)
+        cls._fill = scope["_fill"]
         if "__init__" not in vars(cls):
-            body = "".join(f"\n _set_{n}(self, {n})" for n in cls.__slots__)
-            scope = {f"_set_{n}": vars(cls)[n].__set__ for n in cls.__slots__}
-            exec(f"def __init__(self, {', '.join(cls.__slots__)}):{body}", scope)
-            cls.__init__ = scope["__init__"]
+            cls.__init__ = cls._fill
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -295,7 +297,7 @@ def parse_family_id(text: str) -> FamilyId:
         m = _FAMILY_RE.fullmatch(text)
         if m is None:
             raise ParseError("expected family identifier of the form rho.N", 0)
-        rho, n = (_int_literal(m.group(g), m.start(g)) for g in (1, 2))
+        rho, n = _int_literal(m.group(1), m.start(1)), _int_literal(m.group(2), m.start(2))
         if not 1 <= rho <= 10:
             raise ParseError("Picard rank must be between 1 and 10", m.start(1))
         if n < 1:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -30,7 +29,6 @@ from .errors import (
 )
 
 Rational = Union[int, Fraction]
-_E_NAME = re.compile(r"E\d+")  # a numbered exceptional divisor, as _blown_up counts them
 
 
 def _exact(x: Rational) -> Rational:
@@ -54,10 +52,8 @@ class DivisorClass(pmod._Value):
                 f"coefficient vector of length {len(coeffs)} does not match "
                 f"basis of size {len(model.basis)}"
             )
-        object.__setattr__(self, "model", model)
         # from a list: tuple(<generator>) resizes, leaving tuples in free lists until a full GC
-        coeffs = [c if type(c) is int else _exact(c) for c in coeffs]
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        self._fill(model, tuple([c if type(c) is int else _exact(c) for c in coeffs]))
 
     def _check_sibling(self, other: "DivisorClass") -> None:
         if not isinstance(other, DivisorClass):
@@ -110,7 +106,7 @@ class IntersectionForm(pmod._Value):
 
 
 def _freeze_entries(raw: Mapping[tuple[int, ...], Rational]) -> dict[tuple[int, ...], Rational]:
-    return {tuple(sorted(k)): _exact(v) for k, v in raw.items() if v != 0}
+    return {tuple(sorted(k)): v if type(v) is int else _exact(v) for k, v in raw.items() if v}
 
 
 class VarietyModel:
@@ -119,9 +115,9 @@ class VarietyModel:
     Instances are immutable after construction and compared by identity.
     ``aliases`` maps alternative symbol spellings to basis names (e.g. the
     hyperplane class of projective space answers to both ``H`` and ``L``).
-    ``ample_ref`` is a reference class with positive top power; on a blow-up
-    it is a pull-back, so it is not ample there.  Only the top-power check
-    below and the bundle's shift search read it.
+    ``ample_ref`` is a reference class with positive top power, which each model
+    checks once through ``intersection_number``; on a blow-up it is a pull-back,
+    so it is not ample there.  Only that check and the bundle's shift search read it.
     """
 
     def __init__(
@@ -134,7 +130,8 @@ class VarietyModel:
         ample_ref: Sequence[Rational],
         aliases: Optional[Mapping[str, str]] = None,
     ):
-        if len(set(basis)) != len(basis):
+        index = {b: i for i, b in enumerate(basis)}  # also finds a repeated name
+        if len(index) != len(basis):
             raise GeometryError(f"basis names not unique: {basis}")
         self.name = name
         self.dimension = dimension
@@ -142,12 +139,11 @@ class VarietyModel:
         self.form = IntersectionForm(dimension, _freeze_entries(entries))
         self.aliases = dict(aliases or {})
         # symbol -> basis index; a basis name beats an alias of the same spelling
-        self._index = {a: self.basis.index(t) for a, t in self.aliases.items() if t in self.basis}
-        self._index.update({b: i for i, b in enumerate(self.basis)})
+        self._index = {a: index[t] for a, t in self.aliases.items() if t in index} | index
         self.anticanonical = DivisorClass(self, anticanonical)
         self.ample_ref = DivisorClass(self, ample_ref)
         top = intersection_number(self, [self.ample_ref] * dimension)
-        if top <= 0:
+        if top.numerator <= 0:
             raise GeometryError(
                 f"reference class of {name} has non-positive top self-intersection {top}"
             )
@@ -260,15 +256,18 @@ def intersection_number(model: VarietyModel, classes: Sequence[DivisorClass]) ->
     n = model.dimension
     if len(classes) != n:
         raise DegreeError(f"expected {n} classes, got {len(classes)}")
-    vecs = {}  # one check and sparse vector per class object, so [c] * n reaches the power walk
+    # one check and sparse vector per class object, so [c] * n reaches the power walk
+    vecs, factors = {}, []
     for c in classes:
-        if id(c) not in vecs:
+        v = vecs.get(id(c))
+        if v is None:
             if not isinstance(c, DivisorClass):
                 raise TypeError(f"expected a divisor class, got {c!r}")
             if c.model is not model:
                 raise ForeignClassError("divisor class belongs to a different model")
-            vecs[id(c)] = _sparse(c.coeffs)
-    return Fraction(_contract(model.form.entries, [vecs[id(c)] for c in classes]).get((), 0))
+            v = vecs[id(c)] = _sparse(c.coeffs)
+        factors.append(v)
+    return Fraction(_contract(model.form.entries, factors).get((), 0))
 
 
 # A walked class expression is a list of terms (coefficient, nonzero sparse class vectors).
@@ -363,7 +362,7 @@ def evaluate(model: VarietyModel, expr: Union[str, pmod.ClassExpr],
     ast = pmod.parse_class_expr(expr) if isinstance(expr, str) else expr
     named = {}
     for name, c in (classes or {}).items():
-        if name in model.basis or name in model.aliases:
+        if name in model._index:
             raise GeometryError(f"class name {name!r} is a symbol of model {model.name}")
         named[name] = _collect([], _sparse(model.divisor(c).coeffs))  # 0 has no term
     total = 0
@@ -381,15 +380,7 @@ def evaluate(model: VarietyModel, expr: Union[str, pmod.ClassExpr],
 
 def _rank_one(name: str, n: int, degree: int, index: int) -> VarietyModel:
     """Picard rank one: basis H (also spelled L), H^n = degree, -K = index*H."""
-    return VarietyModel(
-        name=name,
-        dimension=n,
-        basis=["H"],
-        entries={(0,) * n: degree},
-        anticanonical=[index],
-        ample_ref=[1],
-        aliases={"L": "H"},
-    )
+    return VarietyModel(name, n, ["H"], {(0,) * n: degree}, [index], [1], {"L": "H"})
 
 
 def make_projective_space(n: int) -> VarietyModel:
@@ -424,12 +415,13 @@ def make_product(factors: Sequence[VarietyModel]) -> VarietyModel:
         for pos, f in enumerate(factors)
         for b in f.basis
     ]
-    # Kuenneth: a stored key of the product joins one stored key per factor
-    offsets = list(itertools.accumulate((len(f.basis) for f in factors[:-1]), initial=0))
-    entries: dict[tuple[int, ...], Rational] = {}
-    for combo in itertools.product(*(f.form.entries.items() for f in factors)):
-        key = tuple(off + i for off, (k, _) in zip(offsets, combo) for i in k)
-        entries[key] = math.prod(v for _, v in combo)
+    # Kuenneth: a stored key of the product joins one stored key per factor, shifted
+    entries: dict[tuple[int, ...], Rational] = {(): 1}
+    off = 0
+    for f in factors:
+        entries = {key + tuple([off + i for i in k]): value * v
+                   for key, value in entries.items() for k, v in f.form.entries.items()}
+        off += len(f.basis)
 
     return VarietyModel(
         name="x".join(f.name for f in factors),
@@ -493,7 +485,7 @@ def make_projective_bundle(base: VarietyModel, summands: Sequence[DivisorClass])
 def _blown_up(ambient: VarietyModel, count: int, entries: Mapping, k_coeff: int) -> VarietyModel:
     """``ambient`` plus ``count`` exceptional divisors with these form ``entries`` and -K
     coefficient, numbered on from its ``E<digits>``; ``E`` also names a first and only one."""
-    first = 1 + sum(1 for b in ambient.basis if _E_NAME.fullmatch(b))
+    first = 1 + sum([b[:1] == "E" and b[1:].isdecimal() for b in ambient.basis])
     basis = list(ambient.basis)
     for j in range(first, first + count):
         basis.append(f"E{j}")
@@ -643,5 +635,5 @@ _BUILDERS = {
 def model_from_recipe(recipe: Union[str, pmod.Call]) -> VarietyModel:
     """Build the variety model described by a recipe."""
     r = pmod.parse_recipe(recipe) if isinstance(recipe, str) else recipe
-    args = [model_from_recipe(a) if isinstance(a, pmod.Call) else a for a in r.args]
+    args = [model_from_recipe(a) if type(a) is pmod.Call else a for a in r.args]
     return _BUILDERS[r.name](*args)

@@ -225,6 +225,35 @@ def test_recipes_are_parsed_once(monkeypatch):
     assert catalog.recipes.cache_info().misses == 1
 
 
+def test_every_model_checks_its_top_power_once(monkeypatch):
+    """Realizing every recipe builds 93 models, and each runs one top-power check
+    through intersection_number."""
+    init, check = ring.VarietyModel.__init__, ring.intersection_number
+    counts = {"models": 0, "checks": 0, "depth": 0}
+
+    def counted_init(self, *args, **kwargs):
+        counts["models"] += 1
+        counts["depth"] += 1
+        try:
+            init(self, *args, **kwargs)
+        finally:
+            counts["depth"] -= 1
+
+    def counted_check(model, classes):
+        counts["checks"] += counts["depth"] > 0
+        return check(model, classes)
+
+    monkeypatch.setattr(ring.VarietyModel, "__init__", counted_init)
+    monkeypatch.setattr(ring, "intersection_number", counted_check)
+    realize_recipe.cache_clear()
+    try:
+        for fid in recipes():
+            realize_recipe(fid)
+    finally:
+        realize_recipe.cache_clear()
+    assert (counts["models"], counts["checks"]) == (93, 93)
+
+
 class TestRecipes:
     def test_recipe_coverage(self):
         ids = {str(f) for f in recipes()}

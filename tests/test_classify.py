@@ -69,6 +69,10 @@ class TestPencilCheck:
         m = make_projective_space(3)
         with pytest.raises(GeometryError, match="requires an integral class"):
             pencil_check(m, m.divisor("H") * Fraction(1, 2))
+        # the integrality test reads every coefficient, not only the first
+        m = ring.model_from_recipe("prod(P(1),P(1),P(1))")
+        with pytest.raises(GeometryError, match="requires an integral class"):
+            pencil_check(m, ring.DivisorClass(m, [1, 0, Fraction(1, 2)]))
 
 
 class TestFibrationDegree:
@@ -162,6 +166,19 @@ class TestClassifySplitting:
         monkeypatch.setattr(ring, "intersection_number", no_call)
         classify_splitting(s)
         assert calls == [1, 1, 1, 1]
+
+    # eps = min(dp(d), l) with a pencil, l without one; l is the hint, or 2
+    @pytest.mark.parametrize("fid,by_hint", [
+        ("2.1", {None: Fraction(1), 2: Fraction(1), 3: Fraction(1)}),
+        ("2.3", {None: Fraction(4, 3), 2: Fraction(4, 3), 3: Fraction(4, 3)}),
+        ("3.26", {None: Fraction(2), 2: Fraction(2), 3: Fraction(3)}),
+        ("3.19", {None: Fraction(2), 2: Fraction(2), 3: Fraction(3)}),
+    ], ids=["pencil-dp1", "pencil-dp2", "pencil-dp9", "no-pencil"])
+    def test_epsilon_is_an_exact_fraction(self, fid, by_hint):
+        _, s = _splitting(fid)
+        for ell_hint, eps in by_hint.items():
+            out = classify_splitting(s, ell_hint=ell_hint)
+            assert type(out.epsilon) is Fraction and out.epsilon == eps, ell_hint
 
     def test_requires_freeness(self):
         real, _ = _splitting("3.2")

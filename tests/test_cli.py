@@ -256,6 +256,43 @@ class TestClassify:
         assert code == 1
 
 
+# One cell tamper of the family TSV per check of verify's partition and dp sections, which
+# compare the TSV with the paper's sets: check -> (family id, column, new cell, every FAIL
+# line that verify then prints).  One cell can fail several coupled checks.
+_TSV_TAMPERS = {
+    "epsilon-1-families": ("2.6", "epsilon", "1", [
+        "CHECK epsilon-1-families expected={2.1,10.1} actual={2.1,2.6,10.1} FAIL",
+        "CHECK epsilon-2-family-count expected=76 actual=75 FAIL",
+        "CHECK base-points-iff-epsilon-1 expected={2.1,2.6,10.1} actual={2.1,10.1} FAIL"]),
+    "epsilon-4/3-families": ("9.1", "epsilon", "2", [  # 76 is the paper's count
+        "CHECK epsilon-4/3-families expected={2.2,2.3,9.1} actual={2.2,2.3} FAIL",
+        "CHECK epsilon-2-family-count expected=76 actual=77 FAIL"]),
+    "epsilon-3/2-families": ("8.1", "epsilon", "2", [
+        "CHECK epsilon-3/2-families expected={2.4,2.5,3.2,8.1} actual={2.4,2.5,3.2} FAIL",
+        "CHECK epsilon-2-family-count expected=76 actual=77 FAIL"]),
+    "epsilon-3-families": ("2.30", "epsilon", "2", [
+        "CHECK epsilon-3-families expected={2.28,2.30,2.33} actual={2.28,2.33} FAIL",
+        "CHECK epsilon-2-family-count expected=76 actual=77 FAIL"]),
+    "epsilon-2-family-count": ("9.1", "epsilon", "2", [
+        "CHECK epsilon-4/3-families expected={2.2,2.3,9.1} actual={2.2,2.3} FAIL",
+        "CHECK epsilon-2-family-count expected=76 actual=77 FAIL"]),
+    "dp-degree-1-families": ("10.1", "dp_degrees", "-", [
+        "CHECK dp-degree-1-families expected={2.1,10.1} actual={2.1} FAIL"]),
+    "dp-degree-2-families": ("2.3", "dp_degrees", "-", [
+        "CHECK dp-degree-2-families expected={2.2,2.3,9.1} actual={2.2,9.1} FAIL"]),
+    "dp-degree-3-families": ("8.1", "dp_degrees", "-", [
+        "CHECK dp-degree-3-families expected={2.4,2.5,3.2,8.1} actual={2.4,2.5,3.2} FAIL"]),
+    "base-points-iff-epsilon-1": ("2.1", "non_bpf", "false", [  # 2.1's own line goes too
+        "CHECK base-points-iff-epsilon-1 expected={2.1,10.1} actual={10.1} FAIL"]),
+    "base-points-2.1-no-low-fibration": ("2.1", "dp_degrees", "1,2", [
+        "CHECK dp-degree-2-families expected={2.2,2.3,9.1} actual={2.1,2.2,2.3,9.1} FAIL",
+        "CHECK base-points-2.1-no-low-fibration expected=- actual=2 FAIL"]),
+    "base-points-10.1-no-low-fibration": ("10.1", "dp_degrees", "1,3", [
+        "CHECK dp-degree-3-families expected={2.4,2.5,3.2,8.1} actual={2.4,2.5,3.2,8.1,10.1} FAIL",
+        "CHECK base-points-10.1-no-low-fibration expected=- actual=3 FAIL"]),
+}
+
+
 class TestVerify:
     def test_full_run_passes(self, capsys):
         code, out, _ = run(capsys, "verify")
@@ -281,25 +318,34 @@ class TestVerify:
 
     def test_tampered_data_fails(self, capsys, tmp_path, monkeypatch):
         with open(catalog.data_path(), encoding="utf-8") as fh:
-            text = fh.read()
-        cases = [  # (row text, tampered, verify's options, the FAIL lines)
-            ("9.1\t9\t1\t4/3", "9.1\t9\t1\t2", [],  # 9.1's epsilon; 76 is the paper's count
-             ["CHECK epsilon-4/3-families expected={2.2,2.3,9.1} actual={2.2,2.3} FAIL",
-              "CHECK epsilon-2-family-count expected=76 actual=77 FAIL"]),
-            ("2.3\t2\t1\t4/3\tknown\t2\t", "2.3\t2\t1\t4/3\tknown\t-\t",  # 2.3's dp_degrees
-             ["--only", "dp"],
-             ["CHECK dp-degree-2-families expected={2.2,2.3,9.1} actual={2.2,9.1} FAIL"]),
-        ]
-        for n, (row, tampered_row, options, fail_lines) in enumerate(cases):
-            tampered = text.replace(row, tampered_row)
-            assert tampered != text
+            lines = fh.read().splitlines(keepends=True)
+        header = lines[0].rstrip("\n").split("\t")
+        section = {c.name: c.section for c in classify.verify_paper().checks}
+        for n, (check, (fid, column, value, fail_lines)) in enumerate(_TSV_TAMPERS.items()):
+            row = next(i for i, line in enumerate(lines) if line.split("\t")[0] == fid)
+            cells = lines[row].split("\t")
+            assert cells[header.index(column)] != value, check
+            cells[header.index(column)] = value
             alt = tmp_path / f"families{n}.tsv"
-            alt.write_text(tampered, encoding="utf-8")
+            alt.write_text("".join(lines[:row] + ["\t".join(cells)] + lines[row + 1:]),
+                           encoding="utf-8")
             monkeypatch.setenv(catalog.DATA_ENV_VAR, str(alt))
-            code, out, _ = run(capsys, "verify", *options)
-            assert code == 1
+            code, out, _ = run(capsys, "verify")
+            assert code == 1, check
             assert [line for line in out.splitlines() if line.endswith("FAIL")] == fail_lines
+            assert any(f"CHECK {check} " in line for line in fail_lines), check
+            # --only prints the check's own section, with just that section's FAIL lines
+            code, out, _ = run(capsys, "verify", "--only", section[check])
+            assert code == 1, check
+            printed = [line.split()[1] for line in out.splitlines()]
+            assert {section[name] for name in printed} == {section[check]}, check
+            assert [line for line in out.splitlines() if line.endswith("FAIL")] == [
+                line for line in fail_lines if section[line.split()[1]] == section[check]]
 
+    def test_every_tsv_check_has_a_tamper(self):
+        report = classify.verify_paper()
+        printed = {c.name for c in report.checks if c.section in ("partition", "dp")}
+        assert printed == set(_TSV_TAMPERS)
 
     def test_bad_triple_is_a_fail_line(self, capsys, monkeypatch):
         bad = parse_class_expr("H1+H2+H2")

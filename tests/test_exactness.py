@@ -7,7 +7,8 @@ float.  Exact division is written ``Fraction(a, b)``.
 
 No ``dataclasses`` either: importing it imports ``inspect``, and with the
 classes it builds it cost about a quarter of every ``fanocalc`` call's
-start.  The same walk rejects both forms of its import.
+start.  The same walk rejects both forms of its import.  ``json`` is loaded
+only by ``cli.main`` under ``--json``.
 
 One output path: ``cli.main`` is the only code that names ``print`` or
 ``stdout``, so each subcommand returns its answer and ``main`` writes it.
@@ -125,9 +126,10 @@ def test_only_cli_main_writes_stdout(path):
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # -S: no site module, so nothing but fanocalc.cli can have imported them
+    # -S: no site module, so nothing but fanocalc.cli can have imported them; json is
+    # imported by main under --json only
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import fanocalc.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+            "print(sorted({'dataclasses', 'inspect', 'json'} & sys.modules.keys()))")
     src = str(Path(fanocalc.__file__).parents[1])
     done = subprocess.run([sys.executable, "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=60)
@@ -146,9 +148,13 @@ def test_list_and_deg_leave_the_recipe_file_unread():
 
 
 def names_in(module, function):
-    """Every name and attribute that the module-level ``function`` of ``module`` reads."""
-    tree = ast.parse((Path(fanocalc.__file__).parent / f"{module}.py").read_text())
-    (f,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == function]
+    """Every name and attribute that ``function`` of ``module`` reads: a module-level
+    function, or a method given as ``Class.method``."""
+    body = ast.parse((Path(fanocalc.__file__).parent / f"{module}.py").read_text()).body
+    *owner, function = function.split(".")
+    if owner:
+        (body,) = [c.body for c in body if isinstance(c, ast.ClassDef) and c.name == owner[0]]
+    (f,) = [f for f in body if isinstance(f, ast.FunctionDef) and f.name == function]
     return {node.id if isinstance(node, ast.Name) else node.attr
             for node in ast.walk(f) if isinstance(node, (ast.Name, ast.Attribute))}
 
@@ -267,6 +273,10 @@ def test_realize_recipe_reads_every_recipe_field():
     fields = fanocalc.catalog.FamilyRecipe._fields
     assert fields == ("middle", "pencil", "d1", "nef_big_second")
     assert set(fields) <= names_in("catalog", "realize_recipe")
+
+
+def test_every_model_checks_its_top_power():
+    assert "intersection_number" in names_in("ring", "VarietyModel.__init__")
 
 
 def test_contract_walks_one_slot_at_a_time():
