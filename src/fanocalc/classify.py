@@ -287,12 +287,12 @@ def verify_paper() -> VerificationReport:
     buckets = {dp_surface_epsilon(d): ids for d, ids in _DP_SETS.items()}
     buckets[Fraction(3)] = _EPSILON_3
     records = catalog.load_catalog().values()
-    high: dict[Optional[Fraction], list[FamilyId]] = {}  # rank >= 2 ids by epsilon
+    high: dict[tuple[int, int], list[FamilyId]] = {}  # rank >= 2 ids by epsilon's (p, q)
     dp_ids: dict[int, list[FamilyId]] = {d: [] for d in _DP_SETS}  # ids by low fibration degree
     eps_one: list[FamilyId] = []
     for r in records:  # one pass feeds this section and the next
-        if r.rho >= 2:
-            high.setdefault(r.epsilon, []).append(r.id)
+        if r.rho >= 2 and r.epsilon is not None:  # a pair hashes cheaply, a Fraction does not
+            high.setdefault(r.epsilon.as_integer_ratio(), []).append(r.id)
         for d in r.dp_degrees & dp_ids.keys():
             dp_ids[d].append(r.id)
         if r.epsilon == 1:
@@ -300,11 +300,11 @@ def verify_paper() -> VerificationReport:
     for eps, expected_ids in sorted(buckets.items()):
         checks.append(
             Check("partition", f"epsilon-{eps}-families",
-                  _fmt_ids(expected_ids), _fmt_ids(high.get(eps, [])))
+                  _fmt_ids(expected_ids), _fmt_ids(high.get(eps.as_integer_ratio(), [])))
         )
     unclaimed = _RANK_2_UP_FAMILIES - sum(map(len, buckets.values()))  # not read from the TSV
     checks.append(
-        Check("partition", "epsilon-2-family-count", unclaimed, len(high.get(Fraction(2), [])))
+        Check("partition", "epsilon-2-family-count", unclaimed, len(high.get((2, 1), [])))
     )
 
     # tabulated low-degree fibration sets and their structural consequences

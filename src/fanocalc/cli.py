@@ -12,6 +12,7 @@ failed verification), 2 usage error (bad flags or malformed filter values).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -165,8 +166,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.json:
             import json  # only --json needs it; every other call would pay for its import
             text = json.dumps(payload)
-        print(text)
+        print(text, flush=True)  # a closed stdout fails here, not at exit
         return code
+    except BrokenPipeError:  # the reader left, as in `fanocalc list | head -1`
+        # the interpreter flushes stdout again at exit; /dev/null takes what is left silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (FanoCalcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -116,8 +116,9 @@ class VarietyModel:
     ``aliases`` maps alternative symbol spellings to basis names (e.g. the
     hyperplane class of projective space answers to both ``H`` and ``L``).
     ``ample_ref`` is a reference class with positive top power, which each model
-    checks once through ``intersection_number``; on a blow-up it is a pull-back,
-    so it is not ample there.  Only that check and the bundle's shift search read it.
+    checks once through ``intersection_number``; on a blow-up it is a pull-back, so it is
+    not ample there.  It and ``anticanonical`` are built on access, as a class holds its
+    model: a model holding its classes would be a reference cycle, freed only by the cyclic GC.
     """
 
     def __init__(
@@ -140,13 +141,26 @@ class VarietyModel:
         self.aliases = dict(aliases or {})
         # symbol -> basis index; a basis name beats an alias of the same spelling
         self._index = {a: index[t] for a, t in self.aliases.items() if t in index} | index
-        self.anticanonical = DivisorClass(self, anticanonical)
-        self.ample_ref = DivisorClass(self, ample_ref)
-        top = intersection_number(self, [self.ample_ref] * dimension)
+        antican, ref = DivisorClass(self, anticanonical), DivisorClass(self, ample_ref)
+        top = intersection_number(self, [ref] * dimension)
         if top.numerator <= 0:
             raise GeometryError(
                 f"reference class of {name} has non-positive top self-intersection {top}"
             )
+        self._anticanonical, self._ample_ref = antican.coeffs, ref.coeffs
+
+    @property
+    def anticanonical(self) -> DivisorClass:
+        return self._class(self._anticanonical)
+
+    @property
+    def ample_ref(self) -> DivisorClass:
+        return self._class(self._ample_ref)
+
+    def _class(self, coeffs: tuple[Rational, ...]) -> DivisorClass:
+        c = object.__new__(DivisorClass)
+        c._fill(self, coeffs)  # checked when the model was built
+        return c
 
     # -- symbol handling ---------------------------------------------------
 
@@ -428,8 +442,8 @@ def make_product(factors: Sequence[VarietyModel]) -> VarietyModel:
         dimension=n,
         basis=basis,
         entries=entries,
-        anticanonical=[c for f in factors for c in f.anticanonical.coeffs],
-        ample_ref=[c for f in factors for c in f.ample_ref.coeffs],
+        anticanonical=[c for f in factors for c in f._anticanonical],
+        ample_ref=[c for f in factors for c in f._ample_ref],
         aliases={},
     )
 
@@ -461,12 +475,12 @@ def make_projective_bundle(base: VarietyModel, summands: Sequence[DivisorClass])
                 entries[k] = entries.get(k, 0) + value
 
     antican = [c - sum(s.coeffs[i] for s in summands)
-               for i, c in enumerate(base.anticanonical.coeffs)] + [r]
+               for i, c in enumerate(base._anticanonical)] + [r]
 
     # zeta alone need not be positive; shift by the least pulled-back multiple
     # of the base's reference class that makes the top self-intersection positive
     for shift in range(0, 64):
-        ample = [(1 + shift) * c for c in base.ample_ref.coeffs] + [1]
+        ample = [(1 + shift) * c for c in base._ample_ref] + [1]
         if _contract(entries, [_sparse(ample)] * n).get((), 0) > 0:
             break
     else:
@@ -499,8 +513,8 @@ def _blown_up(ambient: VarietyModel, count: int, entries: Mapping, k_coeff: int)
         dimension=ambient.dimension,
         basis=basis,
         entries={**ambient.form.entries, **entries},
-        anticanonical=list(ambient.anticanonical.coeffs) + [k_coeff] * count,
-        ample_ref=list(ambient.ample_ref.coeffs) + [0] * count,
+        anticanonical=list(ambient._anticanonical) + [k_coeff] * count,
+        ample_ref=list(ambient._ample_ref) + [0] * count,
         aliases=aliases,
     )
 
@@ -538,7 +552,7 @@ def make_blowup(
         given[i] = value
         entries[(i, m, m)] = -value
     # E^3 = 2 - 2g + K_Y.C, with K_Y.C from the degrees against -K_Y
-    k_dot_c = -sum(ambient.anticanonical.coeffs[i] * dg for i, dg in given.items())
+    k_dot_c = -sum(ambient._anticanonical[i] * dg for i, dg in given.items())
     entries[(m, m, m)] = 2 - 2 * genus + k_dot_c
     return _blown_up(ambient, 1, entries, -1)  # -K = -K_Y - E along a curve
 
@@ -572,14 +586,14 @@ def make_double_cover(base: VarietyModel, half_branch: DivisorClass) -> VarietyM
     if half_branch.model is not base:
         raise ForeignClassError("half branch class must live on the base model")
     entries = {k: 2 * v for k, v in base.form.entries.items()}
-    antican = [a - b for a, b in zip(base.anticanonical.coeffs, half_branch.coeffs)]
+    antican = [a - b for a, b in zip(base._anticanonical, half_branch.coeffs)]
     return VarietyModel(
         name=f"2:1({base.name})",
         dimension=base.dimension,
         basis=base.basis,
         entries=entries,
         anticanonical=antican,
-        ample_ref=base.ample_ref.coeffs,
+        ample_ref=base._ample_ref,
         aliases=dict(base.aliases),
     )
 
@@ -593,14 +607,14 @@ def make_divisor_in(ambient: VarietyModel, hypersurface_class: DivisorClass) -> 
     # formula); the model's own check of A^3 = A.A.A.h rejects a class that
     # is not positive
     entries = _contract(ambient.form.entries, [_sparse(hypersurface_class.coeffs)])
-    antican = [a - b for a, b in zip(ambient.anticanonical.coeffs, hypersurface_class.coeffs)]
+    antican = [a - b for a, b in zip(ambient._anticanonical, hypersurface_class.coeffs)]
     return VarietyModel(
         name=f"D({ambient.name})",
         dimension=3,
         basis=ambient.basis,
         entries=entries,
         anticanonical=antican,
-        ample_ref=ambient.ample_ref.coeffs,
+        ample_ref=ambient._ample_ref,
         aliases=dict(ambient.aliases),
     )
 

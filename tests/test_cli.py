@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fanocalc
 from fanocalc import catalog, classify
 from fanocalc.cli import main
 from fanocalc.parser import parse_class_expr, parse_family_id, pretty_print
@@ -292,6 +297,57 @@ _TSV_TAMPERS = {
         "CHECK base-points-10.1-no-low-fibration expected=- actual=3 FAIL"]),
 }
 
+# One patched recipe row per check that verify recomputes from a recipe: check -> (family
+# id, column, new cell as recipes.tsv would spell it, every FAIL line that verify then
+# prints).  A family's appendix and adjunction checks read one middle and pencil, so a
+# patch of either fails both.
+_RECIPE_TAMPERS = {
+    **{f"appendix-{fid}-degree": (fid, "pencil", cell, [
+        f"CHECK appendix-{fid}-degree expected={expected} actual={actual} FAIL",
+        f"CHECK adjunction-{fid}-fiber-degree expected={expected} actual={actual} FAIL"])
+       for fid, cell, expected, actual in [
+           ("3.4", "H1", 4, 8), ("3.7", "H1", 6, 8), ("3.11", "L", 7, 9),
+           ("3.24", "H1+H2", 8, 6), ("3.26", "2*L", 9, 8), ("4.4", "H", 6, 8),
+           ("4.9", "2*L", 8, 6), ("5.1", "H-E1-E2", 5, 6)]},
+    **{f"adjunction-{fid}-fiber-degree": (fid, "middle", cell, [
+        f"CHECK appendix-{fid}-degree expected={expected} actual={actual} FAIL",
+        f"CHECK adjunction-{fid}-fiber-degree expected={expected} actual={actual} FAIL"])
+       for fid, cell, expected, actual in [
+           ("3.4", "double_cover(prod(P(1),P(2)), half_branch=H1)", 4, 8),
+           ("3.7", "divisor_in(prod(P(2),P(2)), H1+2*H2)", 6, 2),
+           ("3.11", "blowup_point(divisor_in(P(4), 2*H), count=1)", 7, 3),
+           ("3.24", "divisor_in(prod(P(2),P(2)), 2*H1+H2)", 8, 5),
+           ("3.26", "blowup_point(divisor_in(P(4), 2*H), count=1)", 9, 8),
+           ("4.4", "blowup_point(P(3), count=2)", 6, 7),
+           ("4.9", "blowup_curve(blowup_curve(P(3), genus=0, degrees={H:2}), genus=0, "
+                   "degrees={H:0, E1:-1})", 8, 7),
+           ("5.1", "blowup_point(P(3), count=3)", 5, 6)]},
+    "case-3.2-fiber-degree": ("3.2", "d1", "H2", [
+        "CHECK case-3.2-fiber-degree expected=3 actual=6 FAIL"]),
+    "case-3.8-selfint": ("3.8", "d1", "H1", [
+        "CHECK case-3.8-selfint expected=6 actual=2 FAIL"]),
+    "case-3.19-selfint": ("3.19", "d1", "2*H", [
+        "CHECK case-3.19-selfint expected=8 actual=4 FAIL"]),
+    "case-3.31-anticanonical-cube": (
+        "3.31", "middle", "bundle(prod(P(1),P(1)), summands=[0, H1])", [
+            "CHECK case-3.31-anticanonical-cube expected=52 actual=48 FAIL",
+            "CHECK case-3.31-residual expected=40 actual=24 FAIL"]),
+    "case-3.31-residual": ("3.31", "d1", "2*zeta+H1", [
+        "CHECK case-3.31-residual expected=40 actual=52 FAIL"]),
+    "triple-3.1-sums-to-anticanonical": (
+        "3.1", "middle", "double_cover(prod(P(1),P(1),P(1)), half_branch=H1+H2+2*H3)", [
+            "CHECK triple-3.1-sums-to-anticanonical expected=H1+H2 actual=H1+H2+H3 FAIL"]),
+    "triple-3.3-sums-to-anticanonical": (
+        "3.3", "middle", "divisor_in(prod(P(1),P(1),P(2)), H1+H2+H3)", [
+            "CHECK triple-3.3-sums-to-anticanonical expected=H1+H2+2*H3 actual=H1+H2+H3 FAIL"]),
+    "triple-3.17-sums-to-anticanonical": (
+        "3.17", "middle", "divisor_in(prod(P(1),P(1),P(2)), H1+H2+2*H3)", [
+            "CHECK triple-3.17-sums-to-anticanonical expected=H1+H2+H3 actual=H1+H2+2*H3 FAIL"]),
+    "triple-4.1-sums-to-anticanonical": (
+        "4.1", "middle", "divisor_in(prod(P(1),P(1),P(1),P(1)), H1+H2+H3+2*H4)", [
+            "CHECK triple-4.1-sums-to-anticanonical expected=H1+H2+H3 actual=H1+H2+H3+H4 FAIL"]),
+}
+
 
 class TestVerify:
     def test_full_run_passes(self, capsys):
@@ -346,6 +402,29 @@ class TestVerify:
         report = classify.verify_paper()
         printed = {c.name for c in report.checks if c.section in ("partition", "dp")}
         assert printed == set(_TSV_TAMPERS)
+
+    def test_tampered_recipe_fails(self, capsys, monkeypatch):
+        with open(catalog._RECIPE_DATA, encoding="utf-8") as fh:
+            header, *rows = [line.split("\t") for line in fh.read().splitlines()]
+        shipped = {row[0]: row for row in rows}
+        for check, (fid, column, cell, fail_lines) in _RECIPE_TAMPERS.items():
+            assert shipped[fid][header.index(column)] != cell, check
+            key = parse_family_id(fid)
+            row = catalog.recipes()[key]._replace(**{column: catalog._RECIPE_COLUMNS[column](cell)})
+            with monkeypatch.context() as patch:
+                patch.setitem(catalog.recipes(), key, row)
+                catalog.realize_recipe.cache_clear()
+                try:
+                    code, out, _ = run(capsys, "verify")
+                finally:
+                    catalog.realize_recipe.cache_clear()
+            assert code == 1, check
+            assert [line for line in out.splitlines() if line.endswith("FAIL")] == fail_lines, check
+            assert any(f"CHECK {check} " in line for line in fail_lines), check
+
+    def test_every_check_has_a_tamper(self):
+        printed = [c.name for c in classify.verify_paper().checks]
+        assert sorted(printed) == sorted([*_TSV_TAMPERS, *_RECIPE_TAMPERS])
 
     def test_bad_triple_is_a_fail_line(self, capsys, monkeypatch):
         bad = parse_class_expr("H1+H2+H2")
@@ -436,3 +515,32 @@ class TestUsage:
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+
+class TestClosedStdout:
+    """A reader that leaves early, as in ``fanocalc list | head -1``, is not a domain error:
+    exit 1 with nothing on stderr, also from the flush at interpreter exit."""
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["list"], ["deg", "P(3)", "H^3"], ["family", "3.7", "--json"],
+    ], ids=["list", "deg", "family-json"])
+    def test_exit_one_and_silent(self, argv, buffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(fanocalc.__file__).parents[1])
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            done = subprocess.run([sys.executable, "-m", "fanocalc", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, "")
+
+    def test_missing_data_file_is_an_error_line(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv(catalog.DATA_ENV_VAR, str(tmp_path / "absent.tsv"))
+        code, out, err = run(capsys, "list")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno 2] No such file or directory") and "absent.tsv" in err

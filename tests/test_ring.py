@@ -1,3 +1,5 @@
+import collections
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -7,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanocalc import classify, parser, ring
+from fanocalc import catalog, classify, parser, ring
 from fanocalc.catalog import realize_recipe, recipes
 from fanocalc.errors import (
     DegreeError,
@@ -540,6 +542,59 @@ class TestExactRepresentation:
         (value,) = m.form.entries.values()
         assert type(value) is Fraction and value == Fraction(1, 2)
         assert m.evaluate("(1/3*H)^3") == Fraction(1, 54)
+
+
+def _paper_op():  # the paper reproduction from an empty recipe cache
+    realize_recipe.cache_clear()
+    for fid in recipes():
+        real = realize_recipe(fid)
+        classify.classify_splitting(classify.Splitting(real.d1, real.d2, *real.free,
+                                                       real.nef_big_second))
+    classify.verify_paper()
+    for fid in catalog.load_catalog():
+        classify.epsilon_of_family(fid)
+    realize_recipe.cache_clear()
+
+
+def _large_op():  # models beyond the curated set, through both query paths
+    for recipe in ("blowup_point(P(3), count=20)", "prod(P(1), blowup_point(P(2), count=8))",
+                   "bundle(prod(P(1),P(1)), summands=[0, H1+H2])"):
+        m = model_from_recipe(recipe)
+        m.evaluate(f"({m.basis[0]}-{m.basis[-1]})^{m.dimension}")
+        intersection_number(m, [m.anticanonical] * m.dimension)
+
+
+class TestReferenceCounting:
+    """A model does not hold its classes, so nothing the package builds is in a reference
+    cycle: reference counting frees a model when its last reference drops, with no pause
+    for the cyclic garbage collector."""
+
+    @pytest.mark.parametrize("op", [_paper_op, _large_op], ids=["paper", "large-models"])
+    def test_no_package_object_is_cyclic_garbage(self, op):
+        flags, enabled, start = gc.get_debug(), gc.isenabled(), len(gc.garbage)
+        gc.collect()  # what earlier tests left is not this test's
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)  # every object a collection finds goes to gc.garbage
+        try:
+            op()
+            gc.collect()
+            cyclic = collections.Counter(type(o).__qualname__ for o in gc.garbage[start:]
+                                         if type(o).__module__.startswith("fanocalc"))
+        finally:
+            gc.set_debug(flags)
+            del gc.garbage[start:]
+            if enabled:
+                gc.enable()
+        assert not cyclic, f"cyclic garbage by type: {dict(cyclic)}"
+
+    def test_marked_classes_are_built_on_access(self):
+        m = blowup_points(P(3), 1)
+        assert m.anticanonical == m.anticanonical == m.divisor("4*H-2*E")
+        assert m.anticanonical.model is m and m.ample_ref.model is m
+        assert m.ample_ref == m.divisor("H")
+        for name in ("anticanonical", "ample_ref"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, m.divisor("H"))
 
 
 _P2, _P3 = P(2), P(3)
