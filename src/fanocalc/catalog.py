@@ -111,17 +111,20 @@ def data_path() -> str:
 
 
 @lru_cache(maxsize=None)
-def _load(path: str) -> dict[FamilyId, FanoFamilyRecord]:
-    return dict(sorted(_read_table(path, _COLUMNS, "catalog", _family_row).items()))
+def _load(path: str) -> tuple[dict[FamilyId, FanoFamilyRecord], dict[str, FanoFamilyRecord]]:
+    records = dict(sorted(_read_table(path, _COLUMNS, "catalog", _family_row).items()))
+    return records, {str(fid): rec for fid, rec in records.items()}
 
 
 def load_catalog() -> dict[FamilyId, FanoFamilyRecord]:
     """The family records by id, in id order; cached and shared, so do not modify it."""
-    return _load(data_path())
+    return _load(data_path())[0]
 
 
 def get_family(family: FamilyId | str) -> FanoFamilyRecord:
-    records = load_catalog()
+    records, by_text = _load(data_path())
+    if family in by_text:  # a canonical id text ("3.4") needs no parse
+        return by_text[family]
     fid = parse_family_id(family) if isinstance(family, str) else family
     if fid not in records:
         raise UnknownFamilyError(f"no Fano threefold family {fid}")
@@ -215,7 +218,7 @@ def ci_curve_center(
         degrees[name] = int(d)
     # adjunction: 2g - 2 = (K + 2L).C
     two_g_minus_2 = sum(
-        (2 * l - a) * d for l, a, d in zip(pencil.coeffs, middle.anticanonical.coeffs, deg)
+        (2 * l - a) * d for l, a, d in zip(pencil.coeffs, middle._anticanonical, deg)
     )
     genus = Fraction(two_g_minus_2 + 2, 2)
     if genus.denominator != 1 or genus < 0:
@@ -238,7 +241,7 @@ def realize_recipe(family: FamilyId) -> RealizedFamily:
         pencil = middle.divisor(rec.pencil)
         model = ring.make_blowup(middle, *ci_curve_center(middle, pencil))
         d1 = ring.DivisorClass(model, pencil.coeffs + (-1,))
-    d2 = model.anticanonical - d1
+    d2 = ring.DivisorClass(model, [a - b for a, b in zip(model._anticanonical, d1.coeffs)])
     return RealizedFamily(
         middle, model, pencil, d1, d2, (True, not rec.nef_big_second), rec.nef_big_second
     )

@@ -36,6 +36,15 @@ def _exact(x: Rational) -> Rational:
     return x.numerator if x.denominator == 1 else x
 
 
+def _coeff_tuple(size: int, coeffs: Sequence[Rational]) -> tuple[Rational, ...]:
+    if len(coeffs) != size:
+        raise GeometryError(
+            f"coefficient vector of length {len(coeffs)} does not match basis of size {size}"
+        )
+    # from a list: tuple(<generator>) resizes, leaving tuples in free lists until a full GC
+    return tuple([c if type(c) is int else _exact(c) for c in coeffs])
+
+
 # --------------------------------------------------------------------------
 # core data types
 # --------------------------------------------------------------------------
@@ -47,13 +56,7 @@ class DivisorClass(pmod._Value):
     __slots__ = ("model", "coeffs")
 
     def __init__(self, model: "VarietyModel", coeffs: Sequence[Rational]):
-        if len(coeffs) != len(model.basis):
-            raise GeometryError(
-                f"coefficient vector of length {len(coeffs)} does not match "
-                f"basis of size {len(model.basis)}"
-            )
-        # from a list: tuple(<generator>) resizes, leaving tuples in free lists until a full GC
-        self._fill(model, tuple([c if type(c) is int else _exact(c) for c in coeffs]))
+        self._fill(model, _coeff_tuple(len(model.basis), coeffs))
 
     def _check_sibling(self, other: "DivisorClass") -> None:
         if not isinstance(other, DivisorClass):
@@ -117,8 +120,8 @@ class VarietyModel:
     hyperplane class of projective space answers to both ``H`` and ``L``).
     ``ample_ref`` is a reference class with positive top power, which each model
     checks once through ``intersection_number``; on a blow-up it is a pull-back, so it is
-    not ample there.  It and ``anticanonical`` are built on access, as a class holds its
-    model: a model holding its classes would be a reference cycle, freed only by the cyclic GC.
+    not ample there.  Both are checked and kept as tuples, and a class of either is built on
+    access: a class holds its model, and a model holding its classes would be a reference cycle.
     """
 
     def __init__(
@@ -141,13 +144,13 @@ class VarietyModel:
         self.aliases = dict(aliases or {})
         # symbol -> basis index; a basis name beats an alias of the same spelling
         self._index = {a: index[t] for a, t in self.aliases.items() if t in index} | index
-        antican, ref = DivisorClass(self, anticanonical), DivisorClass(self, ample_ref)
-        top = intersection_number(self, [ref] * dimension)
+        self._anticanonical = _coeff_tuple(len(self.basis), anticanonical)
+        self._ample_ref = _coeff_tuple(len(self.basis), ample_ref)
+        top = intersection_number(self, [self._class(self._ample_ref)] * dimension)
         if top.numerator <= 0:
             raise GeometryError(
                 f"reference class of {name} has non-positive top self-intersection {top}"
             )
-        self._anticanonical, self._ample_ref = antican.coeffs, ref.coeffs
 
     @property
     def anticanonical(self) -> DivisorClass:
@@ -210,21 +213,24 @@ def _contract(
 
     Returns the rest of the form, the sorted key of the other n - k slots mapped
     to its value; a full contraction is keyed by ().  Three walks:
-    - product: a full contraction whose factors' supports give no more ordered index
-      tuples than the stored keys give steps (k each) looks each tuple up as a sorted key;
-    - power: any other full contraction with one vector object in every slot walks the
-      stored keys once; a key with index multiplicities k_i adds its value times
-      n!/prod k_i! * prod v_i^k_i;
+    - product: a full contraction looks each ordered index tuple of its factors' supports
+      up as a sorted key, when that costs less than the walk it would replace;
+    - power: a full contraction with one vector object in every slot walks the stored keys
+      once; a key with index multiplicities k_i adds its value times n!/prod k_i! * prod v_i^k_i;
     - one slot at a time, for everything else: v in one slot leaves the symmetric
       form F(v, ...), so each key and each distinct index i in it give the key less
       one i, weighted by v_i.  No factors: a copy.
-    The product walk is decided first, so it bounds a sparse query on a large model:
-    walking the stored keys alone made H1^2*H2^2 on the product of two Bl_62 P^2 about
-    50 times slower, and the pairs case of a sum of many products took 23 s.
+    Timed on the models' reference classes, a tuple costs about four stored keys of the
+    power walk, plus four to start; a key of the one-slot walk costs k steps.  So a sparse
+    query on a large model keeps the product walk: walking the stored keys made H1^2*H2^2
+    on the product of two Bl_62 P^2 about 50 times slower, and a sum of many products 23 s.
     """
     k = len(factors)
     full = k == len(next(iter(entries), ()))  # every stored key has n indices
-    if full and math.prod(map(len, factors)) <= len(entries) * k:
+    tuples = full and math.prod(map(len, factors))
+    power = (full and factors and 4 * tuples + 4 > len(entries)
+             and all(vec is factors[0] for vec in factors))
+    if full and not power and tuples <= len(entries) * k:
         total = 0
         for indices in itertools.product(*factors):
             term = entries.get(tuple(sorted(indices)))
@@ -233,7 +239,7 @@ def _contract(
                     term *= vec[i]
                 total += term
         return {(): total}
-    if full and factors and all(vec is factors[0] for vec in factors):
+    if power:
         vec, fact, total = factors[0], math.factorial(k), 0
         for key, value in entries.items():
             prev, run, repeats = None, 0, 1  # repeats: prod k_i!, built up one index at a time
@@ -270,17 +276,16 @@ def intersection_number(model: VarietyModel, classes: Sequence[DivisorClass]) ->
     n = model.dimension
     if len(classes) != n:
         raise DegreeError(f"expected {n} classes, got {len(classes)}")
-    # one check and sparse vector per class object, so [c] * n reaches the power walk
-    vecs, factors = {}, []
+    # a class repeating the slot before reuses its vector: [c] * n costs one check, one vector
+    factors, last = [], object()  # no slot holds this object, so the first is checked
     for c in classes:
-        v = vecs.get(id(c))
-        if v is None:
+        if c is not last:
             if not isinstance(c, DivisorClass):
                 raise TypeError(f"expected a divisor class, got {c!r}")
             if c.model is not model:
                 raise ForeignClassError("divisor class belongs to a different model")
-            v = vecs[id(c)] = _sparse(c.coeffs)
-        factors.append(v)
+            vec, last = _sparse(c.coeffs), c
+        factors.append(vec)
     return Fraction(_contract(model.form.entries, factors).get((), 0))
 
 
@@ -378,7 +383,8 @@ def evaluate(model: VarietyModel, expr: Union[str, pmod.ClassExpr],
     for name, c in (classes or {}).items():
         if name in model._index:
             raise GeometryError(f"class name {name!r} is a symbol of model {model.name}")
-        named[name] = _collect([], _sparse(model.divisor(c).coeffs))  # 0 has no term
+        v = _sparse(model.divisor(c).coeffs)
+        named[name] = [(1, (v,))] if v else []  # a walked class: 0 has no term
     total = 0
     for c, factors in _walk(model, ast, named):
         if len(factors) != model.dimension:
@@ -492,7 +498,7 @@ def make_projective_bundle(base: VarietyModel, summands: Sequence[DivisorClass])
         entries=entries,
         anticanonical=antican,
         ample_ref=ample,
-        aliases=dict(base.aliases),
+        aliases=base.aliases,
     )
 
 
@@ -594,7 +600,7 @@ def make_double_cover(base: VarietyModel, half_branch: DivisorClass) -> VarietyM
         entries=entries,
         anticanonical=antican,
         ample_ref=base._ample_ref,
-        aliases=dict(base.aliases),
+        aliases=base.aliases,
     )
 
 
@@ -615,7 +621,7 @@ def make_divisor_in(ambient: VarietyModel, hypersurface_class: DivisorClass) -> 
         entries=entries,
         anticanonical=antican,
         ample_ref=ambient._ample_ref,
-        aliases=dict(ambient.aliases),
+        aliases=ambient.aliases,
     )
 
 

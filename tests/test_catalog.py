@@ -18,6 +18,7 @@ from fanocalc.catalog import (
 from fanocalc.errors import (
     ForeignClassError,
     NoRecipeError,
+    ParseError,
     UnknownFamilyError,
     UnsupportedDimensionError,
 )
@@ -116,6 +117,44 @@ class TestRecords:
         assert len(list_families(epsilon=Fraction(3, 2), rho=3)) == 1
         assert [str(r.id) for r in list_families(dp_degree=2)] == ["2.2", "2.3", "9.1"]
         assert list_families(epsilon=Fraction(5, 4)) == []
+
+
+class TestIdText:
+    """get_family finds a canonical id text without a parse; other texts are parsed."""
+
+    def test_canonical_text_finds_its_record(self):
+        for fid in load_catalog():
+            assert get_family(str(fid)) is get_family(fid)
+
+    @pytest.mark.parametrize("text", [" 3.4", "3.4 ", "\t3.4\n", "03.4", "3.04"])
+    def test_other_spellings_are_parsed(self, text):
+        assert get_family(text) is get_family(parse_family_id("3.4"))
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("2.37", UnknownFamilyError, "no Fano threefold family 2.37"),
+        (" 2.37 ", UnknownFamilyError, "no Fano threefold family 2.37"),
+        ("3.x", ParseError, "expected family identifier of the form rho.N (at offset 0)"),
+        ("11.1", ParseError, "Picard rank must be between 1 and 10 (at offset 0)"),
+        ("", ParseError, "expected family identifier of the form rho.N (at offset 0)"),
+    ])
+    def test_unknown_and_bad_texts(self, text, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            get_family(text)
+
+    def test_data_file_is_read_on_each_call(self, tmp_path, monkeypatch):
+        with open(catalog.data_path(), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        alt = tmp_path / "families.tsv"
+        alt.write_text("\n".join(lines[:2]) + "\n", encoding="utf-8")  # 1.1 alone
+        shipped = get_family("1.1"), get_family("3.4")
+        monkeypatch.setenv(catalog.DATA_ENV_VAR, str(alt))
+        first = get_family("1.1")
+        assert first == shipped[0] and first is not shipped[0]  # the other file's record
+        with pytest.raises(UnknownFamilyError, match="^no Fano threefold family 3.4$"):
+            get_family("3.4")
+        monkeypatch.delenv(catalog.DATA_ENV_VAR)
+        assert (get_family("1.1"), get_family("3.4")) == shipped
+        assert get_family("1.1") is shipped[0]
 
 
 def test_env_override_loads_alternate_file(tmp_path, monkeypatch):

@@ -436,6 +436,37 @@ class TestVerify:
         assert code == 1
         assert "CHECK triple-3.1-sums-to-anticanonical" in out and out.count("FAIL") == 1
 
+    # a middle that realizes or classifies with a domain error fails its family's checks
+    # alone, and every other check still prints
+    @pytest.mark.parametrize("fid, cell, fail_lines", [
+        ("3.4", "double_cover(prod(P(1),P(2)), half_branch=2*H2)", [
+            "CHECK appendix-3.4-degree expected=4"
+            " actual=error: complete intersection curve has invalid genus -1 FAIL",
+            "CHECK adjunction-3.4-fiber-degree expected=4"
+            " actual=error: complete intersection curve has invalid genus -1 FAIL"]),
+        ("5.1", "blowup_point(divisor_in(P(4), 3*H), count=3)", [
+            "CHECK appendix-5.1-degree expected=5 actual=0 FAIL",
+            "CHECK adjunction-5.1-fiber-degree expected=5"
+            " actual=error: fiber degree 0 is not a del Pezzo degree 1..9 FAIL"]),
+        ("3.1", "P(3)", [
+            "CHECK triple-3.1-sums-to-anticanonical expected=-K"
+            " actual=error: unknown symbol 'H1' on model P3 FAIL"]),
+    ], ids=["geometry-error", "inconsistent-model-error", "triple"])
+    def test_recipe_error_fails_its_own_checks(self, capsys, monkeypatch, fid, cell, fail_lines):
+        names = [c.name for c in classify.verify_paper().checks]
+        key = parse_family_id(fid)
+        row = catalog.recipes()[key]._replace(middle=catalog._RECIPE_COLUMNS["middle"](cell))
+        monkeypatch.setitem(catalog.recipes(), key, row)
+        catalog.realize_recipe.cache_clear()
+        try:
+            code, out, err = run(capsys, "verify")
+        finally:
+            catalog.realize_recipe.cache_clear()
+        assert (code, err) == (1, "")
+        assert [line.split()[1] for line in out.splitlines()] == names
+        assert len(names) == 36
+        assert [line for line in out.splitlines() if not line.endswith("PASS")] == fail_lines
+
     def test_bad_row_is_a_fail_line(self, capsys, monkeypatch):
         fid = parse_family_id("3.31")
         bad = catalog.recipes()[fid]._replace(d1=parse_class_expr("zeta"))

@@ -330,7 +330,10 @@ WALK_TAKES = {
     ("blowup_point(P(3), count=3)", "H*H*E2", "product"),
     ("blowup_point(P(3), count=12)", "-K", "power"),
     ("prod(P(1),P(1),P(1),P(1))", "-K", "power"),
-    ("blowup_point(P(3), count=3)", "(1/2*E1+1/3*E2)", "product"),
+    # one vector object in every slot: the power walk, unless the product walk's tuples
+    # cost fewer steps than the stored keys (8 tuples against 4 keys; 1 against 13)
+    ("blowup_point(P(3), count=3)", "(1/2*E1+1/3*E2)", "power"),
+    ("blowup_point(P(3), count=12)", "E1", "product"),
     ("blowup_point(P(3), count=12)", "-K/4*-K/3*-K", "one-slot"),
     (half_section, "(1/3*H)*H*(1/2*H)", "product"),
     (half_section_blown_up, "-K/3*-K*-K", "one-slot"),

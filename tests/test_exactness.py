@@ -279,6 +279,14 @@ def test_every_model_checks_its_top_power():
     assert "intersection_number" in names_in("ring", "VarietyModel.__init__")
 
 
+@pytest.mark.parametrize("module, function", [
+    ("classify", "Splitting.__init__"), ("catalog", "realize_recipe"), ("catalog", "ci_curve_center"),
+])
+def test_minus_k_is_read_as_the_stored_tuple(module, function):
+    """-K's coefficients are the model's tuple; the property would build a class per read."""
+    assert "anticanonical" not in names_in(module, function)
+
+
 def test_contract_walks_one_slot_at_a_time():
     assert "permutations" not in names_in("ring", "_contract")
 

@@ -52,6 +52,23 @@ class TestProjectiveSpace:
         with pytest.raises(UnknownSymbolError, match="unknown symbol 'M' on model X"):
             m.basis_index("M")
 
+    # -K is checked first, with a class's message, and both are kept with ints where integral
+    @pytest.mark.parametrize("antican, ref, length", [
+        ([2], [1, 0], 1), ([2, 0, 0], [1, 0], 3), ([2, 0], [1], 1), ([2, 0], [1, 0, 0], 3),
+        ([2, 0, 0], [1], 3),
+    ], ids=["short-K", "long-K", "short-ref", "long-ref", "both"])
+    def test_marked_vectors_must_match_basis(self, antican, ref, length):
+        with pytest.raises(GeometryError,
+                           match=f"^coefficient vector of length {length} does not match basis of size 2$"):
+            ring.VarietyModel("X", 1, ["H", "E"], {(0,): 1}, antican, ref)
+
+    def test_marked_vectors_are_ints_where_integral(self):
+        m = ring.VarietyModel("X", 1, ["H", "E"], {(0,): 1},
+                              [Fraction(4, 2), Fraction(1, 2)], [Fraction(1), True])
+        assert m.anticanonical.coeffs == (2, Fraction(1, 2)) and m.ample_ref.coeffs == (1, 1)
+        assert [type(c) for c in m.anticanonical.coeffs + m.ample_ref.coeffs] == [
+            int, Fraction, int, int]
+
     def test_anticanonical(self):
         m = P(3)
         assert m.anticanonical == m.divisor("4*H")
@@ -623,6 +640,7 @@ _OTHER_H = P(3).divisor("H")  # a class of another P(3)
     # one object in several slots is checked once, at its first, with the same errors
     (lambda: intersection_number(_P3, [_H] * 2), DegreeError, "expected 3 classes, got 2"),
     (lambda: intersection_number(_P3, [0] * 3), TypeError, "expected a divisor class, got 0"),
+    (lambda: intersection_number(_P3, [None] * 3), TypeError, "expected a divisor class, got None"),
     (lambda: intersection_number(_P3, [_OTHER_H] * 3), ForeignClassError,
      "divisor class belongs to a different model"),
     (lambda: intersection_number(_P3, [_H, _OTHER_H, _OTHER_H]), ForeignClassError,
@@ -630,7 +648,7 @@ _OTHER_H = P(3).divisor("H")  # a class of another P(3)
 ], ids=["too-few-classes", "not-a-class", "foreign-class", "class-plus-int", "foreign-summand",
         "foreign-half-branch", "foreign-hypersurface", "pencil-on-surface",
         "evaluate-non-expression", "print-non-expression", "immutable-class",
-        "repeated-too-few", "repeated-not-a-class", "repeated-foreign", "foreign-repeated-later"])
+        "repeated-too-few", "repeated-not-a-class", "repeated-none", "repeated-foreign", "foreign-repeated-later"])
 def test_error_branch(call, error, message):
     with pytest.raises(error) as exc:
         call()
