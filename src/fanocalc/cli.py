@@ -47,8 +47,13 @@ def _positive_int_arg(text: str) -> int:
 
 
 def cmd_deg(args) -> tuple[int, dict, str]:
-    value = str(ring.model_from_recipe(args.recipe).evaluate(args.expr))
-    return 0, {"value": value}, value
+    value = ring.model_from_recipe(args.recipe).evaluate(args.expr)
+    try:
+        text = str(value)
+    except ValueError:  # over the interpreter's int-to-text limit (Python 3.10.7 and later)
+        raise FanoCalcError("the exact answer is too long to print: its numerator or denominator"
+                            f" has more than {sys.get_int_max_str_digits()} digits") from None
+    return 0, {"value": text}, text
 
 
 def cmd_family(args) -> tuple[int, dict, str]:

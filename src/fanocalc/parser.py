@@ -105,11 +105,11 @@ ClassExpr = Union[Sym, Num, Neg, Add, Sub, Mul, Pow]
 # --------------------------------------------------------------------------
 
 # How tightly the nodes bind, loosest first, each with the operator it prints: the binary
-# operators level by level, then prefix minus, the power and the atoms.  The parser's loop
-# for each binary level reads that level's operator -> node map.
+# operators level by level, then prefix minus, the power and the atoms.  The parser's sum
+# loop reads the loosest level's operator -> node map.
 _LEVELS = ({Add: "+", Sub: "-"}, {Mul: "*"}, {Neg: "-"}, {Pow: "^"}, {Sym: "", Num: ""})
 _BINDING = {node: (level, op) for level, ops in enumerate(_LEVELS) for node, op in ops.items()}
-_SUM_OPS, _PRODUCT_OPS = ({op: node for node, op in ops.items()} for ops in _LEVELS[:2])
+_SUM_OPS = {op: node for node, op in _LEVELS[0].items()}
 
 
 def pretty_print(expr: ClassExpr) -> str:
@@ -138,14 +138,16 @@ def _operand(expr: ClassExpr, needs: int) -> str:
 # tokenizer (shared by both grammars)
 # --------------------------------------------------------------------------
 
-# Longest class expression or recipe accepted, in tokens (three general classes on
-# Bl_20 P^3 take 386).  The parser recurses at most twice per token; hash, pretty_print
-# and ring.evaluate walk a chain of 399 minus signs within the default recursion limit
-# of 1000, but repr and == overflow past 247 and 331 (Python 3.11).  No command calls them.
+# Longest class expression or recipe accepted, in tokens (three general classes on Bl_20 P^3
+# take 386).  The rules loop over terms and factors, recursing only into a prefix minus (one
+# frame) or a group (three for its two tokens).  Hash, pretty_print and ring.evaluate walk 399
+# nested minus signs within the default recursion limit of 1000; repr and ==, which no command
+# calls, overflow past 247 and 331 (Python 3.11).
 MAX_TOKENS = 400
 
 _OPS = "-+*^/()[]{}=,:−"  # the Unicode minus is read as "-"
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_TAKES_NUMBER = _NAME_START | frozenset("/^(")  # starts of a token that an integer binds to
 
 # every non-space character starts a match: an int, a name, an op or, last, a bad one
 _TOKEN_RE = re.compile(rf"\d+|[A-Za-z][A-Za-z0-9_]*|[{re.escape(_OPS)}]|\S")
@@ -159,7 +161,9 @@ def _scan(text: str) -> list[str]:
     text = text.replace("−", "-")
     if len(text) > MAX_TOKENS + 1:  # room for more tokens than that: stop the scan there
         return [*map(re.Match.group, islice(_TOKEN_RE.finditer(text), MAX_TOKENS + 1)), ""]
-    return _TOKEN_RE.findall(text) + [""]
+    toks = _TOKEN_RE.findall(text)
+    toks.append("")
+    return toks
 
 
 def _parse(text: str, rule, what: str):
@@ -205,19 +209,27 @@ def parse_class_expr(text: str) -> ClassExpr:
 
 
 def _parse_expr(toks: list[str], i: int) -> tuple[ClassExpr, int]:
-    node, i = _parse_term(toks, i)
-    while (op := toks[i]) in _SUM_OPS:
-        right, i = _parse_term(toks, i + 1)
-        node = _SUM_OPS[op](node, right)
-    return node, i
-
-
-def _parse_term(toks: list[str], i: int) -> tuple[ClassExpr, int]:
-    node, i = _parse_factor(toks, i)
-    while (op := toks[i]) in _PRODUCT_OPS:
-        right, i = _parse_factor(toks, i + 1)
-        node = _PRODUCT_OPS[op](node, right)
-    return node, i
+    """A sum of terms, each a product of factors, in one loop per level.  A name with no "^"
+    after it, or an integer that binds to nothing after it, is a factor read here."""
+    node = make = None
+    while True:
+        term = None
+        while True:
+            tok = toks[i]  # a name or an integer is never the last token, "" is
+            if tok[:1] in _NAME_START and toks[i + 1] != "^":
+                factor, i = Sym(tok), i + 1
+            elif tok.isdecimal() and toks[i + 1][:1] not in _TAKES_NUMBER:
+                factor, i = Num(_int_literal(tok, i)), i + 1
+            else:
+                factor, i = _parse_factor(toks, i)
+            term = factor if term is None else Mul(term, factor)
+            if toks[i] != "*":
+                break
+            i += 1
+        node = term if make is None else make(node, term)
+        if (make := _SUM_OPS.get(toks[i])) is None:
+            return node, i
+        i += 1
 
 
 def _int_literal(text: str, offset: int) -> int:

@@ -31,18 +31,14 @@ from .errors import (
 Rational = Union[int, Fraction]
 
 
-def _exact(x: Rational) -> Rational:
-    """An integral value as an int, anything else unchanged."""
-    return x.numerator if x.denominator == 1 else x
-
-
 def _coeff_tuple(size: int, coeffs: Sequence[Rational]) -> tuple[Rational, ...]:
     if len(coeffs) != size:
         raise GeometryError(
             f"coefficient vector of length {len(coeffs)} does not match basis of size {size}"
         )
-    # from a list: tuple(<generator>) resizes, leaving tuples in free lists until a full GC
-    return tuple([c if type(c) is int else _exact(c) for c in coeffs])
+    # ints where integral; from a list: tuple(<generator>) resizes, leaving tuples in free
+    # lists until a full GC
+    return tuple([c if type(c) is int else c.numerator if c.denominator == 1 else c for c in coeffs])
 
 
 # --------------------------------------------------------------------------
@@ -109,7 +105,8 @@ class IntersectionForm(pmod._Value):
 
 
 def _freeze_entries(raw: Mapping[tuple[int, ...], Rational]) -> dict[tuple[int, ...], Rational]:
-    return {tuple(sorted(k)): v if type(v) is int else _exact(v) for k, v in raw.items() if v}
+    return {tuple(sorted(k)): v if type(v) is int else v.numerator if v.denominator == 1 else v
+            for k, v in raw.items() if v}
 
 
 class VarietyModel:
@@ -293,6 +290,7 @@ def intersection_number(model: VarietyModel, classes: Sequence[DivisorClass]) ->
 # _collect merges the constants and the linear terms into ``linear``, a sparse class vector
 # that a sum's spine may have started, so a power of a sum stays one product.
 _Term = tuple[Rational, tuple[dict[int, Rational], ...]]
+_SIGNS = {pmod.Add: 1, pmod.Sub: -1}  # a sum's nodes and the sign of their right operand
 
 
 def _collect(terms: list[_Term], linear: dict[int, Rational]) -> list[_Term]:
@@ -341,20 +339,20 @@ def _walk(model: VarietyModel, e: pmod.ClassExpr, named: Mapping = {}) -> list[_
         return [(e.value, ())] if e.value else []
     if isinstance(e, pmod.Neg):
         return [(-c, f) for c, f in _walk(model, e.arg, named)]
-    if isinstance(e, (pmod.Add, pmod.Sub)):
+    if type(e) in _SIGNS:
         spine = []  # (sign, term), right to left
-        while isinstance(e, (pmod.Add, pmod.Sub)):
-            spine.append((1 if isinstance(e, pmod.Add) else -1, e.right))
+        while sign := _SIGNS.get(type(e)):
+            spine.append((sign, e.right))
             e = e.left
-        terms, linear = [], {}
-        for sign, t in [(1, e), *reversed(spine)]:
+        spine.append((1, e))
+        terms, linear, index = [], {}, model._index
+        for sign, t in reversed(spine):
             c, s = sign, t
-            if isinstance(t, pmod.Mul) and isinstance(t.left, pmod.Num):
+            if type(t) is pmod.Mul and type(t.left) is pmod.Num:
                 c, s = sign * t.left.value, t.right
-            if isinstance(s, pmod.Sym) and s.name not in named:
-                i = model.basis_index(s.name)
+            if type(s) is pmod.Sym and (i := index.get(s.name)) is not None:
                 linear[i] = linear.get(i, 0) + c
-            else:
+            else:  # a named class is never a symbol; an unknown symbol raises in this walk
                 walked = _walk(model, t, named)
                 terms += walked if sign == 1 else [(-x, f) for x, f in walked]
         return _collect(terms, linear)

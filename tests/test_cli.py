@@ -49,6 +49,20 @@ class TestDeg:
         assert code == 0
         assert out.strip() == "1/2"
 
+    # (10^1500 - 1)^3, or its inverse, has about 4500 digits: over the int-to-text limit
+    @pytest.mark.parametrize("expr", [f"({'9' * 1500}*H)^3", f"(1/{'9' * 1500}*H)^3"],
+                             ids=["numerator", "denominator"])
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_answer_over_the_digit_limit_is_an_error_line(self, capsys, expr, flags):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the default, whatever this process runs with
+        try:
+            result = run(capsys, "deg", "P(3)", expr, *flags)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert result == (1, "", "error: the exact answer is too long to print: its numerator"
+                                 " or denominator has more than 4300 digits\n")
+
     def test_wrong_degree_is_domain_error(self, capsys):
         code, _, err = run(capsys, "deg", "P(3)", "H^2")
         assert code == 1

@@ -287,6 +287,21 @@ def test_minus_k_is_read_as_the_stored_tuple(module, function):
     assert "anticanonical" not in names_in(module, function)
 
 
+# bench/spans.py times a parse by wrapping parser.parse_*: a call straight to parser._parse
+# would read 0 parser.calls, as classify.pencil_check.calls does
+@pytest.mark.parametrize("module, function, parse", [
+    ("ring", "evaluate", "parse_class_expr"),
+    ("ring", "VarietyModel.divisor", "parse_class_expr"),
+    ("ring", "model_from_recipe", "parse_recipe"),
+])
+def test_every_parse_goes_through_its_wrapped_name(module, function, parse):
+    assert parse in names_in(module, function)
+
+
+def test_class_expressions_have_no_term_rule():
+    assert not hasattr(fanocalc.parser, "_parse_term")  # the sum's loop reads a term's factors
+
+
 def test_contract_walks_one_slot_at_a_time():
     assert "permutations" not in names_in("ring", "_contract")
 

@@ -80,6 +80,22 @@ class TestClassExpr:
         assert type(num.value) is type(value) and num.value == value
         assert pretty_print(num) == printed
 
+    # a bare name or integer factor is read in the term loop, every other one by its own rule
+    @pytest.mark.parametrize("text, tree", [
+        ("2H", Mul(Num(2), H)),
+        ("2 H", Mul(Num(2), H)),
+        ("2/3H", Mul(Num(Fraction(2, 3)), H)),
+        ("2^3", Pow(Num(2), 3)),
+        ("2(H)", Mul(Num(2), H)),
+        ("2*H^2", Mul(Num(2), Pow(H, 2))),
+        ("H^2*2", Mul(Pow(H, 2), Num(2))),
+        ("H*-E", Mul(H, Neg(E))),
+        ("-2*H", Mul(Neg(Num(2)), H)),
+        ("2*H-E*3", Sub(Mul(Num(2), H), Mul(E, Num(3)))),
+    ])
+    def test_factor_trees(self, text, tree):
+        assert parse_class_expr(text) == tree
+
     # one case per parenthesisation rule; the round trip alone would accept extra groups
     @pytest.mark.parametrize("expr, printed", [
         (Neg(Add(H, E)), "-(H+E)"),
@@ -124,6 +140,24 @@ class TestErrors:
         with pytest.raises(ParseError) as exc:
             parse_class_expr("H @ E")
         assert exc.value.offset == 2
+
+    _LONG = "9" * 4301  # one digit over the interpreter's default int-to-text limit
+
+    @pytest.mark.parametrize("text, message, offset", [
+        ("2 3", "expected end of expression", 2),
+        ("2*", "expected atom", 2),
+        ("H H", "expected end of expression", 2),
+        ("2/0*H", "zero denominator", 2),
+        pytest.param(f"H+{_LONG}", "integer literal is too long", 2, id="long-bare-factor"),
+        pytest.param(f"H*{_LONG}^2", "integer literal is too long", 2, id="long-power-base"),
+        pytest.param(f"{_LONG}*H", "integer literal is too long", 0, id="long-coefficient"),
+        pytest.param(f"H-{_LONG}H", "integer literal is too long", 2, id="long-juxtaposed"),
+        pytest.param(f"2/{_LONG}*H", "integer literal is too long", 2, id="long-denominator"),
+    ])
+    def test_factor_errors(self, text, message, offset):
+        with pytest.raises(ParseError) as exc:
+            parse_class_expr(text)
+        assert (exc.value.message, exc.value.offset) == (message, offset)
 
     def test_exponent_must_be_integer(self):
         with pytest.raises(ParseError):

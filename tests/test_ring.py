@@ -125,8 +125,9 @@ class TestLinearTermsOfASum:
         (lambda: P(3).evaluate("2*X+H^4"), UnknownSymbolError, "unknown symbol 'X' on model P3"),
         (lambda: P(3).evaluate("H^4+2*X"), DegreeError, "exponent 4 is above the dimension of P3"),
         (lambda: P(3).divisor("H-Y+2*X"), UnknownSymbolError, "unknown symbol 'Y' on model P3"),
+        (lambda: P(3).evaluate("X1+X2-H^3"), UnknownSymbolError, "unknown symbol 'X1' on model P3"),
     ], ids=["constant", "square", "unknown-coefficient-term", "cancelled-square",
-            "unknown-before-power", "power-before-unknown", "first-unknown"])
+            "unknown-before-power", "power-before-unknown", "first-unknown", "leftmost-unknown"])
     def test_errors(self, call, error, message):
         with pytest.raises(error) as exc:
             call()
