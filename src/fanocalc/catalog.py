@@ -67,7 +67,7 @@ FanoFamilyRecord = namedtuple("FanoFamilyRecord", _COLUMNS)
 def _read_table(path: str, columns: dict, what: str, make) -> dict:
     """The records of a TSV file headed by ``columns``, by id in file order; ``make`` checks
     a row's cells and their values, parsed by column, and returns its (id, record).
-    A grammar error in a cell after the id names the row's id and the column."""
+    A grammar error in a cell names the row's id cell and the column."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].split("\t") != list(columns):
@@ -82,8 +82,6 @@ def _read_table(path: str, columns: dict, what: str, make) -> dict:
             try:
                 values.append(parse(text))
             except ParseError as exc:
-                if not values:  # the id itself: nothing names the row
-                    raise
                 raise ParseError(f"{what} {cells[0]} {column}: {exc.message}", exc.offset) from None
         fid, rec = make(values, cells)
         if by_id.setdefault(fid, rec) is not rec:

@@ -481,14 +481,12 @@ def make_projective_bundle(base: VarietyModel, summands: Sequence[DivisorClass])
     antican = [c - sum(s.coeffs[i] for s in summands)
                for i, c in enumerate(base._anticanonical)] + [r]
 
-    # zeta alone need not be positive; shift by the least pulled-back multiple
-    # of the base's reference class that makes the top self-intersection positive
-    for shift in range(0, 64):
-        ample = [(1 + shift) * c for c in base._ample_ref] + [1]
-        if _contract(entries, [_sparse(ample)] * n).get((), 0) > 0:
-            break
-    else:
-        raise GeometryError("could not find a positive reference class for the bundle")
+    # zeta alone need not be positive: take zeta + t*A, A the base's reference class, doubling
+    # t from 1 until the top power is positive, which ends, as (zeta + t*A)^n is a polynomial
+    # in t led by C(n, b) * A^b > 0
+    ample = list(base._ample_ref) + [1]
+    while _contract(entries, [_sparse(ample)] * n).get((), 0) <= 0:
+        ample = [2 * c for c in ample[:-1]] + [1]
     return VarietyModel(
         name=f"P(E->{base.name})",
         dimension=n,
@@ -584,22 +582,28 @@ def blowup_points(ambient: VarietyModel, count: int) -> VarietyModel:
     return _blown_up(ambient, count, {(j,) * n: e_top for j in range(size - count, size)}, 1 - n)
 
 
+def _same_basis(base: VarietyModel, kind: str, dimension: int, entries: Mapping,
+                divisor: DivisorClass) -> VarietyModel:
+    """``kind(base)``: these form ``entries`` on ``base``'s basis, with its reference class
+    and aliases, and -K = -K_base - ``divisor``."""
+    return VarietyModel(
+        name=f"{kind}({base.name})",
+        dimension=dimension,
+        basis=base.basis,
+        entries=entries,
+        anticanonical=[a - b for a, b in zip(base._anticanonical, divisor.coeffs)],
+        ample_ref=base._ample_ref,
+        aliases=base.aliases,
+    )
+
+
 def make_double_cover(base: VarietyModel, half_branch: DivisorClass) -> VarietyModel:
     if base.dimension > 3:
         raise UnsupportedDimensionError("double covers supported up to dimension 3")
     if half_branch.model is not base:
         raise ForeignClassError("half branch class must live on the base model")
     entries = {k: 2 * v for k, v in base.form.entries.items()}
-    antican = [a - b for a, b in zip(base._anticanonical, half_branch.coeffs)]
-    return VarietyModel(
-        name=f"2:1({base.name})",
-        dimension=base.dimension,
-        basis=base.basis,
-        entries=entries,
-        anticanonical=antican,
-        ample_ref=base._ample_ref,
-        aliases=base.aliases,
-    )
+    return _same_basis(base, "2:1", base.dimension, entries, half_branch)
 
 
 def make_divisor_in(ambient: VarietyModel, hypersurface_class: DivisorClass) -> VarietyModel:
@@ -611,16 +615,7 @@ def make_divisor_in(ambient: VarietyModel, hypersurface_class: DivisorClass) -> 
     # formula); the model's own check of A^3 = A.A.A.h rejects a class that
     # is not positive
     entries = _contract(ambient.form.entries, [_sparse(hypersurface_class.coeffs)])
-    antican = [a - b for a, b in zip(ambient._anticanonical, hypersurface_class.coeffs)]
-    return VarietyModel(
-        name=f"D({ambient.name})",
-        dimension=3,
-        basis=ambient.basis,
-        entries=entries,
-        anticanonical=antican,
-        ample_ref=ambient._ample_ref,
-        aliases=ambient.aliases,
-    )
+    return _same_basis(ambient, "D", 3, entries, hypersurface_class)
 
 
 # --------------------------------------------------------------------------

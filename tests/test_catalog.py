@@ -17,6 +17,7 @@ from fanocalc.catalog import (
 )
 from fanocalc.errors import (
     ForeignClassError,
+    GeometryError,
     NoRecipeError,
     ParseError,
     UnknownFamilyError,
@@ -231,13 +232,14 @@ def recipe_file(tmp_path, monkeypatch):
     ("\tnef_big_second\n", "\tnef_big\n", "has an unexpected header"),
     ("2.1\tdp3(1)\tH\t-\ttrue", "2.1\tdp3(1)\tH\t-\tyes", "bad boolean field 'yes'"),
     ("2.1\tdp3(1)\t", "2.1\tdp3(1\t", "error: recipe 2.1 middle: expected ')' or ','"),
+    ("2.1\tdp3(1)", "2.x\tdp3(1)", "error: recipe 2.x id: expected family identifier"),
     ("2.1\tdp3(1)\tH\t", "2.1\tdp3(1)\tH+\t", "error: recipe 2.1 pencil: expected atom"),
     ("2*H2)\t-\tH1\t", "2*H2)\t-\tH1*(\t", "error: recipe 2.2 d1: expected atom"),
     ("\n2.2\t", "\n2.1\t", "duplicate recipe id 2.1"),
     ("2.1\tdp3(1)\tH\t-\t", "2.1\tdp3(1)\tH\tH\t", "recipe 2.1: give exactly one of pencil and d1"),
     ("2.1\tdp3(1)\tH\t-\t", "2.1\tdp3(1)\t-\t-\t", "recipe 2.1: give exactly one of pencil and d1"),
 ], ids=["four-cells", "unknown-header", "non-boolean-nef-big", "unparsable-middle",
-        "unparsable-pencil", "unparsable-d1", "duplicate-id", "pencil-and-d1",
+        "unparsable-id", "unparsable-pencil", "unparsable-d1", "duplicate-id", "pencil-and-d1",
         "neither-pencil-nor-d1"])
 def test_bad_recipe_row_is_an_error_line(capsys, recipe_file, row, tampered, message):
     recipe_file(row, tampered)
@@ -365,6 +367,8 @@ class TestRecipes:
             ci_curve_center(p2, p2.divisor("H"))
         with pytest.raises(ForeignClassError):
             ci_curve_center(p3, ring.blowup_points(p3, 1).divisor("H"))
+        with pytest.raises(GeometryError, match="^non-integral curve degree 1/4 against H$"):
+            ci_curve_center(p3, p3.divisor("1/2*H"))
 
     def test_recorded_triples(self):
         assert [str(f) for f in classify._TRIPLES] == ["3.1", "3.3", "3.17", "4.1"]

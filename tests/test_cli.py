@@ -63,6 +63,16 @@ class TestDeg:
         assert result == (1, "", "error: the exact answer is too long to print: its numerator"
                                  " or denominator has more than 4300 digits\n")
 
+    # F_128: zeta + t*H is positive from t = 65, and doubling t from 1 stops at 128
+    @pytest.mark.parametrize("twist", ["128", "9" * 4000], ids=["F128", "4000_digits"])
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_bundle_with_a_large_twist(self, capsys, time_limit, twist, flags):
+        recipe = f"bundle(P(1), summands=[0, -{twist}*H])"
+        with time_limit(1.0):
+            code, out, err = run(capsys, "deg", recipe, "zeta^2", *flags)
+        assert (code, err) == (0, "")
+        assert (json.loads(out) == {"value": f"-{twist}"}) if flags else out == f"-{twist}\n"
+
     def test_wrong_degree_is_domain_error(self, capsys):
         code, _, err = run(capsys, "deg", "P(3)", "H^2")
         assert code == 1

@@ -17,7 +17,6 @@ import pytest
 
 from fanocalc import catalog, ring
 from fanocalc.classify import Splitting, classify_splitting, pencil_check
-from fanocalc.errors import GeometryError
 from fanocalc.ring import (
     DivisorClass,
     blowup_points,
@@ -179,14 +178,16 @@ def dense_bundle_entries(base, summands):
 
 
 def dense_bundle_shift(base, summands, entries):
-    """Least shift s < 64 for which ((1+s)A + zeta)^n > 0 on the dense loop."""
+    """First t of 1, 2, 4, ... for which (tA + zeta)^n > 0 on the dense loop, A the base's
+    reference class; there is one, since the polynomial in t is led by C(n, b) * A^b > 0."""
     n = base.dimension + len(summands) - 1
     form = ring.IntersectionForm(n, entries)
-    for shift in range(64):
-        ample = [(1 + shift) * c for c in base.ample_ref.coeffs] + [Fraction(1)]
+    t = 1
+    while True:
+        ample = [t * c for c in base.ample_ref.coeffs] + [Fraction(1)]
         if dense_contract(form, len(ample), [ample] * n) > 0:
-            return shift
-    return None
+            return t
+        t *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +532,7 @@ def test_divisors_in_match_dense_builder(ambient_recipe, cls):
 
 @pytest.mark.parametrize("base_recipe, summands", [
     ("P(1)", ("0", "0")),
-    ("P(1)", ("0", "-2*H")),  # top power 0 at shift 0, so the shift is 1
+    ("P(1)", ("0", "-2*H")),  # top power 0 at t = 1, so t is 2
     ("P(1)", ("0", "-3*H")),
     ("P(2)", ("0", "H")),
     ("P(2)", ("H", "2*H")),
@@ -543,6 +544,7 @@ def test_divisors_in_match_dense_builder(ambient_recipe, cls):
     ("blowup_point(P(3), count=2)", ("H-E1", "2*H-E2")),
     ("prod(P(1), blowup_point(P(2), count=2))", ("0", "H2-E1")),
     ("blowup_point(P(2), count=4)", ("0", "H-E1", "2*H-E2-E3")),
+    ("P(1)", ("0", "-5*H")),  # the least t that works is 3, and doubling gives 4
 ])
 def test_bundles_match_dense_builder(base_recipe, summands):
     base = model_from_recipe(base_recipe)
@@ -550,8 +552,8 @@ def test_bundles_match_dense_builder(base_recipe, summands):
     expected = dense_bundle_entries(base, classes)
     model = make_projective_bundle(base, classes)
     assert model.form.entries == expected
-    shift = dense_bundle_shift(base, classes, expected)
-    assert list(model.ample_ref.coeffs) == [(1 + shift) * c for c in base.ample_ref.coeffs] + [1]
+    t = dense_bundle_shift(base, classes, expected)
+    assert list(model.ample_ref.coeffs) == [t * c for c in base.ample_ref.coeffs] + [1]
 
 
 # (recipe, classes known to be pencils there); random multiples of them give
@@ -618,9 +620,11 @@ def test_fiber_degree_is_read_from_the_pencil_tests():
     assert checked >= 12
 
 
-def test_bundle_without_positive_reference_class():
+def test_bundle_with_a_large_twist_builds():
+    """F_200: zeta + t*H is positive from t = 101, and doubling stops at 128."""
     base = P(1)
     classes = [base.divisor("0"), base.divisor("-200*H")]
-    assert dense_bundle_shift(base, classes, dense_bundle_entries(base, classes)) is None
-    with pytest.raises(GeometryError, match="positive reference class"):
-        make_projective_bundle(base, classes)
+    model = make_projective_bundle(base, classes)
+    assert dense_bundle_shift(base, classes, dense_bundle_entries(base, classes)) == 128
+    assert model.ample_ref.coeffs == (128, 1)
+    assert model.evaluate("zeta^2") == -200
