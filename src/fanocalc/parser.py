@@ -15,8 +15,10 @@ multiplication.  The unicode minus sign is accepted as ``-``.
 
 Recipes are nested constructor calls, e.g.
 ``blowup_point(P(3), count=1)`` or
-``bundle(prod(P(1),P(1)), summands=[0, -H1-H2, -H1-H2])``; ``_SIGNATURES``
-names each constructor's parameters and the kind of value each takes.
+``bundle(prod(P(1),P(1)), summands=[0, -H1-H2, -H1-H2])``; a row of
+``_SIGNATURES`` lists each parameter of a constructor with its keyword, the
+description of what it takes and its binder, and ``prod`` binds every
+positional argument.
 """
 
 from __future__ import annotations
@@ -335,42 +337,38 @@ class Call(_Value):
     __slots__ = ("name", "args")
 
 
-# constructor -> its parameters as (keyword, or None if positional; kind).
-# Ranges (dimensions, counts, genus, factor and summand numbers) are checked
-# by the ring constructors, not here.
-_SIGNATURES = {
-    "P": ((None, "int"),),
-    "dp3": ((None, "int"),),
-    "prod": ((None, "recipes"),),
-    "bundle": ((None, "recipe"), ("summands", "classes")),
-    "blowup_point": ((None, "recipe"), ("count", "int")),
-    "blowup_curve": ((None, "recipe"), ("genus", "int"), ("degrees", "degrees")),
-    "double_cover": ((None, "recipe"), ("half_branch", "class")),
-    "divisor_in": ((None, "recipe"), (None, "class")),
-}
-
-
 def _as_int(value) -> int | None:
+    """An integral number or its negation, read by type: the parser stores an integral
+    literal or quotient as an int, any other number as a Fraction."""
     sign = 1
-    if isinstance(value, Neg):
+    if type(value) is Neg:
         value, sign = value.arg, -1
-    if isinstance(value, Num) and value.value.denominator == 1:
-        return sign * int(value.value)
+    if type(value) is Num and type(value.value) is int:
+        return sign * value.value
     return None
 
 
-def _as_recipe(value) -> Call | None:
-    return value if isinstance(value, Call) else None
+# what a parameter takes and its binder, which returns the bound form or None for a value
+# of another kind
+_RECIPE = ("a recipe", lambda v: v if type(v) is Call else None)
+_INT = ("an integer", _as_int)
+_CLASS = ("a class expression", lambda v: v if isinstance(v, ClassExpr) else None)
+_CLASSES = ("a [class, ...] list", lambda v: tuple(v) if type(v) is list else None)
+_DEGREES = ("a {name: int, ...} mapping", lambda v: v if type(v) is tuple else None)
 
-
-# kind -> (what a value must be, its bound form or None if of another kind)
-_KINDS = {
-    "recipe": ("a recipe", _as_recipe),
-    "recipes": ("a recipe", _as_recipe),  # every remaining positional argument
-    "int": ("an integer", _as_int),
-    "class": ("a class expression", lambda v: v if isinstance(v, ClassExpr) else None),
-    "classes": ("a [class, ...] list", lambda v: tuple(v) if isinstance(v, list) else None),
-    "degrees": ("a {name: int, ...} mapping", lambda v: v if isinstance(v, tuple) else None),
+# constructor -> one row per parameter: its keyword (None if positional), what it takes and
+# its binder.  prod, the one variadic constructor, binds its parameter once per positional
+# argument.  Ranges (dimensions, counts, genus, factor and summand numbers) are checked by
+# the ring constructors, not here.
+_SIGNATURES = {
+    "P": ((None, *_INT),),
+    "dp3": ((None, *_INT),),
+    "prod": ((None, *_RECIPE),),
+    "bundle": ((None, *_RECIPE), ("summands", *_CLASSES)),
+    "blowup_point": ((None, *_RECIPE), ("count", *_INT)),
+    "blowup_curve": ((None, *_RECIPE), ("genus", *_INT), ("degrees", *_DEGREES)),
+    "double_cover": ((None, *_RECIPE), ("half_branch", *_CLASS)),
+    "divisor_in": ((None, *_RECIPE), (None, *_CLASS)),
 }
 
 
@@ -428,38 +426,30 @@ def _parse_degree(toks: list[str], i: int) -> tuple[tuple[str, int], int]:
 
 def _bind(name: str, at: int, items: list[tuple[str | None, object]]) -> Call:
     """The Call for a constructor's arguments, checked against its signature; an error is
-    raised at token index ``at``, the constructor's name."""
-
-    def bad(msg: str):
-        raise ParseError(f"{name}: {msg}", at)
-
-    positional = [v for key, v in items if key is None]
-    keywords: dict[str, object] = {}
+    raised at token index ``at``, the constructor's name.  No argument value is None."""
+    positional, keywords = [], {}
     for key, value in items:
-        if key in keywords:
-            bad(f"argument {key!r} given twice")
-        if key is not None:
-            keywords[key] = value
-    args = []
-    for key, kind in _SIGNATURES[name]:
-        what, bind = _KINDS[kind]
-        if kind == "recipes":
-            values, positional = positional, []
-        elif key is not None:
-            if key not in keywords:
-                bad(f"missing argument {key!r}")
-            values = [keywords.pop(key)]
-        elif positional:
-            values = [positional.pop(0)]
+        if key is None:
+            positional.append(value)
+        elif key in keywords:
+            raise ParseError(f"{name}: argument {key!r} given twice", at)
         else:
-            bad(f"missing {what}")
-        for value in values:
-            bound = bind(value)
-            if bound is None:
-                bad(f"{key or 'argument'} must be {what}")
-            args.append(bound)
-    if positional:
-        bad("too many positional arguments")
+            keywords[key] = value
+    params = _SIGNATURES[name]
+    if name == "prod":  # its one parameter, once per positional argument
+        params *= len(positional)
+    args, rest = [], iter(positional)
+    for key, what, bind in params:
+        value = next(rest, None) if key is None else keywords.pop(key, None)
+        if value is None:
+            missing = f"argument {key!r}" if key else what
+            raise ParseError(f"{name}: missing {missing}", at)
+        bound = bind(value)
+        if bound is None:
+            raise ParseError(f"{name}: {key or 'argument'} must be {what}", at)
+        args.append(bound)
+    if next(rest, None) is not None:
+        raise ParseError(f"{name}: too many positional arguments", at)
     if keywords:
-        bad(f"unexpected argument {next(iter(keywords))!r}")
+        raise ParseError(f"{name}: unexpected argument {next(iter(keywords))!r}", at)
     return Call(name, tuple(args))

@@ -325,6 +325,20 @@ class TestRecipe:
         r = parse_recipe("blowup_curve(P(3), degrees={H:1, E:-2}, genus=0)")
         assert r == Call("blowup_curve", (Call("P", (3,)), 0, (("H", 1), ("E", -2))))
 
+    # an integer argument is any argument that parses to an integral number or its
+    # negation, and a keyword argument may come before a positional one
+    @pytest.mark.parametrize("text,tree", [
+        ("P(6/2)", Call("P", (3,))),
+        ("P((3))", Call("P", (3,))),
+        ("P(-(3))", Call("P", (-3,))),
+        ("blowup_point(P(3), count=4/2)", Call("blowup_point", (Call("P", (3,)), 2))),
+        ("blowup_curve(P(3), genus=4/2, degrees={H:1})",
+         Call("blowup_curve", (Call("P", (3,)), 2, (("H", 1),)))),
+        ("blowup_point(count=2, P(3))", Call("blowup_point", (Call("P", (3,)), 2))),
+    ], ids=["quotient", "group", "negated-group", "count", "genus", "keyword-first"])
+    def test_argument_trees(self, text, tree):
+        assert parse_recipe(text) == tree
+
     def test_unknown_constructor(self):
         with pytest.raises(ParseError):
             parse_recipe("mystery(3)")
@@ -336,12 +350,20 @@ class TestRecipe:
             parse_recipe("blowup_point(P(3), count=1, count=2)")
         assert exc.value.offset == 0
 
-    # a class expression is not a tuple or a list, so it binds to neither kind
+    # a class expression is not a tuple or a list, so it binds to neither kind; a value of
+    # another kind, a missing argument and an unknown keyword are errors at the constructor
     @pytest.mark.parametrize("text,message", [
         ("blowup_curve(P(3), genus=0, degrees=H)",
          "blowup_curve: degrees must be a {name: int, ...} mapping"),
         ("bundle(P(1), summands=H)", "bundle: summands must be a [class, ...] list"),
-    ], ids=["degrees", "summands"])
+        ("blowup_point(P(3), count=H)", "blowup_point: count must be an integer"),
+        ("bundle(P(1))", "bundle: missing argument 'summands'"),
+        ("prod(P(1), x=P(1))", "prod: unexpected argument 'x'"),
+        ("double_cover(P(3), 2*H)", "double_cover: missing argument 'half_branch'"),
+        ("dp3(P(1))", "dp3: argument must be an integer"),
+        ("P(x=3)", "P: missing an integer"),
+    ], ids=["degrees", "summands", "count", "missing-keyword", "unexpected-keyword",
+            "keyword-given-positionally", "recipe-for-integer", "keyword-for-positional"])
     def test_argument_of_another_kind(self, text, message):
         with pytest.raises(ParseError) as exc:
             parse_recipe(text)
@@ -382,7 +404,7 @@ def test_readme_grammar_matches_signatures():
         call = re.split(r"\s{2,}", line)[0]  # the description follows two spaces
         documented[re.match(r"\w+", call).group()] = set(re.findall(r"(\w+)=", call))
     assert documented == {
-        name: {key for key, _ in params if key} for name, params in pmod._SIGNATURES.items()
+        name: {key for key, _, _ in params if key} for name, params in pmod._SIGNATURES.items()
     }
     assert ring._BUILDERS.keys() == pmod._SIGNATURES.keys()
 
