@@ -229,9 +229,11 @@ class VerificationReport(NamedTuple):
         return VerificationReport(tuple(c for c in self.checks if c.section == name))
 
 
-# One row per numeric check: (section, check, family, model, expression, expected).  On "X",
+# One row per recipe check: (section, check, family, model, expression, expected).  On "X",
 # the threefold, A is -K_X and D1, D2 its splitting; on "Y", a pencil recipe's middle variety,
 # A is -K_Y and P the pencil L (an alias on P(n)).  None is the classifier's fiber degree on X.
+# Expected "-K" compares the expression's class with -K_X, a sum of the factors' classes on the
+# cover and divisor models of products; the line prints -K until the model is built.
 _ROWS = [
     (section, name, parse_family_id(fid), on, expr and parse_class_expr(expr), expected)
     for section, name, fid, on, expr, expected in [
@@ -245,12 +247,12 @@ _ROWS = [
         ("section4", "case-3.19-selfint", "3.19", "X", "D2^2*D1", 8),
         ("section4", "case-3.31-anticanonical-cube", "3.31", "X", "A^3", 52),
         ("section4", "case-3.31-residual", "3.31", "X", "A^3-3*D1*D2^2", 40),
+    ] + [
+        ("splittings", f"triple-{fid}-sums-to-anticanonical", fid, "X", expr, "-K")
+        for fid, expr in {"3.1": "H1+H2+H3", "3.3": "H1+H2+H3", "3.17": "H1+H2+2*H3",
+                          "4.1": "H1+H2+H3+H4"}.items()
     ]
 ]
-# -K_X on the cover and divisor models of products, as a sum of the factors' classes
-_TRIPLES = {parse_family_id(fid): parse_class_expr(expr) for fid, expr in {
-    "3.1": "H1+H2+H3", "3.3": "H1+H2+H3", "3.17": "H1+H2+2*H3", "4.1": "H1+H2+H3+H4",
-}.items()}
 _EPSILON_3 = _ids("2.28", "2.30", "2.33")  # rank >= 2; 1, 4/3, 3/2 come from _DP_SETS
 _RANK_2_UP_FAMILIES = 88  # Iskovskikh-Prokhorov, Fano Varieties, Tables 12.3-12.6
 
@@ -270,26 +272,18 @@ def verify_paper() -> VerificationReport:
     for section, name, fid, on, expr, expected in _ROWS:
         try:
             real = catalog.realize_recipe(fid)
+            model = real.middle if on == "Y" else real.model
             if expr is None:
                 actual = classify_splitting(_splitting_of(real)).fiber_degree
+            elif expected == "-K":
+                expected = str(model.anticanonical)
+                actual = str(model.divisor(expr))
             else:
-                model = real.middle if on == "Y" else real.model
                 names = {"P": real.pencil} if on == "Y" else {"D1": real.d1, "D2": real.d2}
                 actual = ring.evaluate(model, expr, {"A": model.anticanonical, **names})
         except FanoCalcError as exc:
             actual = f"error: {exc}"
         checks.append(Check(section, name, expected, actual))
-
-    # anticanonical triples on the cover and divisor models of products
-    for fid, total in _TRIPLES.items():
-        expected = "-K"  # until the model is built
-        try:
-            model = catalog.realize_recipe(fid).model
-            expected = str(model.anticanonical)
-            actual = str(model.divisor(total))
-        except FanoCalcError as exc:
-            actual = f"error: {exc}"
-        checks.append(Check("splittings", f"triple-{fid}-sums-to-anticanonical", expected, actual))
 
     # partition of the rank >= 2 families by Seshadri constant
     buckets = {dp_surface_epsilon(d): ids for d, ids in _DP_SETS.items()}

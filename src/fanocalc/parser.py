@@ -436,6 +436,9 @@ def _bind(name: str, at: int, items: list[tuple[str | None, object]]) -> Call:
         else:
             keywords[key] = value
     params = _SIGNATURES[name]
+    for key in keywords:  # a mistyped keyword is named before the parameter it misses
+        if key not in [k for k, _, _ in params]:
+            raise ParseError(f"{name}: unexpected argument {key!r}", at)
     if name == "prod":  # its one parameter, once per positional argument
         params *= len(positional)
     args, rest = [], iter(positional)
@@ -450,6 +453,4 @@ def _bind(name: str, at: int, items: list[tuple[str | None, object]]) -> Call:
         args.append(bound)
     if next(rest, None) is not None:
         raise ParseError(f"{name}: too many positional arguments", at)
-    if keywords:
-        raise ParseError(f"{name}: unexpected argument {next(iter(keywords))!r}", at)
     return Call(name, tuple(args))

@@ -631,15 +631,15 @@ def _recipe_class(base: VarietyModel, expr: pmod.ClassExpr) -> DivisorClass:
     return c
 
 
-# one builder per constructor of parser._SIGNATURES, called with the Call's
-# arguments once its nested recipes are built
+# one builder per constructor of parser._SIGNATURES, called with the Call's arguments once
+# its nested recipes are built; each looks its constructor up by name, so a wrapper sees it
 _BUILDERS = {
-    "P": make_projective_space,
-    "dp3": make_del_pezzo_threefold,
+    "P": lambda n: make_projective_space(n),
+    "dp3": lambda d: make_del_pezzo_threefold(d),
     "prod": lambda *factors: make_product(factors),
     "bundle": lambda base, cs: make_projective_bundle(base, [_recipe_class(base, c) for c in cs]),
-    "blowup_point": blowup_points,
-    "blowup_curve": make_blowup,
+    "blowup_point": lambda base, count: blowup_points(base, count),
+    "blowup_curve": lambda base, genus, degrees: make_blowup(base, genus, degrees),
     "double_cover": lambda base, c: make_double_cover(base, _recipe_class(base, c)),
     "divisor_in": lambda base, c: make_divisor_in(base, _recipe_class(base, c)),
 }

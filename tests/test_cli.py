@@ -452,7 +452,9 @@ class TestVerify:
 
     def test_bad_triple_is_a_fail_line(self, capsys, monkeypatch):
         bad = parse_class_expr("H1+H2+H2")
-        monkeypatch.setitem(classify._TRIPLES, parse_family_id("3.1"), bad)
+        monkeypatch.setattr(classify, "_ROWS", [
+            row[:4] + (bad, "-K") if row[1] == "triple-3.1-sums-to-anticanonical" else row
+            for row in classify._ROWS])
         report = classify.verify_paper()
         (check,) = [c for c in report.checks if c.name == "triple-3.1-sums-to-anticanonical"]
         assert not check.passed and not report.ok
@@ -475,7 +477,10 @@ class TestVerify:
         ("3.1", "P(3)", [
             "CHECK triple-3.1-sums-to-anticanonical expected=-K"
             " actual=error: unknown symbol 'H1' on model P3 FAIL"]),
-    ], ids=["geometry-error", "inconsistent-model-error", "triple"])
+        ("3.1", "double_cover(prod(P(1),P(2)), half_branch=H1+H2)", [
+            "CHECK triple-3.1-sums-to-anticanonical expected=H1+2*H2"
+            " actual=error: unknown symbol 'H3' on model 2:1(P1xP2) FAIL"]),
+    ], ids=["geometry-error", "inconsistent-model-error", "triple", "triple-sum"])
     def test_recipe_error_fails_its_own_checks(self, capsys, monkeypatch, fid, cell, fail_lines):
         names = [c.name for c in classify.verify_paper().checks]
         key = parse_family_id(fid)

@@ -361,9 +361,12 @@ class TestRecipe:
         ("prod(P(1), x=P(1))", "prod: unexpected argument 'x'"),
         ("double_cover(P(3), 2*H)", "double_cover: missing argument 'half_branch'"),
         ("dp3(P(1))", "dp3: argument must be an integer"),
-        ("P(x=3)", "P: missing an integer"),
+        ("P(x=3)", "P: unexpected argument 'x'"),
+        ("bundle(P(1), sumands=[0, H])", "bundle: unexpected argument 'sumands'"),
+        ("blowup_point(P(3), cnt=1)", "blowup_point: unexpected argument 'cnt'"),
     ], ids=["degrees", "summands", "count", "missing-keyword", "unexpected-keyword",
-            "keyword-given-positionally", "recipe-for-integer", "keyword-for-positional"])
+            "keyword-given-positionally", "recipe-for-integer", "keyword-for-positional",
+            "mistyped-summands", "mistyped-count"])
     def test_argument_of_another_kind(self, text, message):
         with pytest.raises(ParseError) as exc:
             parse_recipe(text)

@@ -465,6 +465,34 @@ class TestDivisorIn:
             make_divisor_in(p3, p3.divisor("2*H"))
 
 
+class TestModelFromRecipe:
+    # every builder calls its constructor through the module's name, so a wrapper put in
+    # its place sees the recipe builds
+    def test_builders_call_constructors_by_name(self, monkeypatch):
+        ran = set()
+
+        def recording(name, constructor):
+            def wrapper(*args, **kwargs):
+                ran.add(name)
+                return constructor(*args, **kwargs)
+            return wrapper
+
+        names = ("make_projective_space", "make_del_pezzo_threefold", "make_product",
+                 "make_projective_bundle", "blowup_points", "make_blowup",
+                 "make_double_cover", "make_divisor_in")
+        for name in names:
+            monkeypatch.setattr(ring, name, recording(name, getattr(ring, name)))
+        for recipe in ["blowup_curve(blowup_curve(P(3), genus=0, degrees={H:2}), genus=0, "
+                       "degrees={H:0, E1:-1})",
+                       "blowup_point(P(3), count=1)",
+                       "dp3(1)",
+                       "bundle(prod(P(1),P(1)), summands=[0, H1])",
+                       "double_cover(P(3), half_branch=2*H)",
+                       "divisor_in(P(4), 2*H)"]:
+            model_from_recipe(recipe)
+        assert ran == set(names)
+
+
 class TestDivisorClassArithmetic:
     def test_vector_ops(self):
         m = blowup_points(P(3), 1)
