@@ -65,29 +65,33 @@ def dp_surface_epsilon(degree: int) -> Fraction:
     return _DP_SURFACE_EPSILON[degree]
 
 
-def _pencil_test(model: ring.VarietyModel, d: ring.DivisorClass):
-    """(pencil_check's answer, D's sparse vector, the form D.D.B keyed by (B,)), from two
-    contractions: D applied to one slot gives every D.B.B', and that rest applied to D
-    gives every D.D.B.  A class stores ints where integral, so the sparse vector's values
-    show whether D is integral."""
-    if model.dimension != 3:
-        raise UnsupportedDimensionError("pencil test requires a threefold")
-    v = {}  # ring._sparse, with the integrality test in its loop: twice as fast as all()
+def _vector(d: ring.DivisorClass) -> dict[int, int]:
+    """D's sparse vector, or an error unless D is integral: twice as fast as all()."""
+    v = {}  # a class stores ints where integral
     for i, c in enumerate(d.coeffs):
         if c:
             if type(c) is not int:
                 raise GeometryError("pencil test requires an integral class")
             v[i] = c
+    return v
+
+
+def _pencil_test(model: ring.VarietyModel, d: ring.DivisorClass):
+    """(pencil_check's answer, the rest D.B.B' keyed by (B, B'), the form D.D.B keyed by (B,)):
+    D in one slot gives the rest, and the rest with D in one more slot gives the form."""
+    if model.dimension != 3:
+        raise UnsupportedDimensionError("pencil test requires a threefold")
+    v = _vector(d)
     rest = ring._contract(model.form.entries, [v])
     square = ring._contract(rest, [v])
-    return any(rest.values()) and not any(square.values()), v, square
+    return any(rest.values()) and not any(square.values()), rest, square
 
 
 def pencil_check(model: ring.VarietyModel, d: ring.DivisorClass) -> bool:
     """True iff D^2 is numerically zero and D is not: D.D.B = 0 for every
     basis class B, and D.B.B' != 0 for some pair of basis classes.
 
-    The test reads only the intersection form, in one walk over it.
+    The test reads only the intersection form, in two contractions.
     For nef D it says that D has numerical dimension one (Lazarsfeld, Positivity I).
     """
     return _pencil_test(model, d)[0]
@@ -102,11 +106,16 @@ def classify_splitting(s: Splitting, ell_hint: Optional[int] = None) -> Classifi
     eps <= l for a family of rational curves of -K-degree l through x.  The
     constant is the smaller bound, or l without a pencil (the paper's theorem).
     l is ``ell_hint``, or else 2: the assumption that a -K-conic passes through x.
+
+    D1's pencil test leaves D1.B.B', which gives c = D1.D2.D2; only c = 0 tests D2 in full.
+    D2^2 = 0 forces c = 0, so c != 0 rules D2 out, and is the fiber degree if D1 is the pencil.
     """
     if not s.free1 or not (s.free2 or s.nef_big_second):
         raise GeometryError("classifier needs a free splitting or a nef-and-big second part")
-    p1, v1, square1 = _pencil_test(s.model, s.d1)
-    p2, v2, square2 = _pencil_test(s.model, s.d2)
+    p1, rest, square1 = _pencil_test(s.model, s.d1)
+    v2 = _vector(s.d2)
+    c = ring._contract(rest, [v2, v2]).get((), 0)
+    p2 = not c and pencil_check(s.model, s.d2)
     if p1 and p2:
         raise InconsistentModelError(
             "both splitting parts define pencils; -K cannot be ample"
@@ -115,11 +124,9 @@ def classify_splitting(s: Splitting, ell_hint: Optional[int] = None) -> Classifi
     if not p1 and not p2:
         notes = ("no pencil", "min curve degree >= 3") if ell >= 3 else ("no pencil",)
         return ClassificationOutcome("none", None, Fraction(ell), notes)
-    # the fiber degree D_other^2.D_pencil, read off the other part's square D_other^2.B
-    side, pencil, square = ("first", v1, square2) if p1 else ("second", v2, square1)
-    d = 0
-    for b, x in pencil.items():
-        d += square.get((b,), 0) * x
+    side, d = "first", c  # the fiber degree D_other^2.D_pencil
+    if p2:  # D1^2.B summed against D2's coefficients
+        side, d = "second", sum(square1.get((b,), 0) * x for b, x in v2.items())
     if d not in _DP_SURFACE_EPSILON:
         raise InconsistentModelError(f"fiber degree {d} is not a del Pezzo degree 1..9")
     d, dp = int(d), _DP_SURFACE_EPSILON[d]

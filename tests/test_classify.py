@@ -149,9 +149,12 @@ class TestClassifySplitting:
         assert out.pencil_side == "second"
         assert out.epsilon == Fraction(2)
 
-    @pytest.mark.parametrize("fid", ["3.26", "3.19"], ids=["pencil", "no-pencil"])
-    def test_contracts_four_times(self, monkeypatch, fid):
-        """Two contractions per pencil test, and the fiber degree from their numbers."""
+    @pytest.mark.parametrize("fid,route", [
+        ("3.26", [1, 1, 2]), ("3.19", [1, 1, 2]), ("3.5", [1, 1, 2, 1, 1]),
+    ], ids=["pencil", "no-pencil", "pencil-on-d2"])
+    def test_contraction_route(self, monkeypatch, fid, route):
+        """D1's pencil test, then its rest with D2 in two slots; only a zero there
+        brings D2's pencil test."""
         _, s = _splitting(fid)
         contract, calls = ring._contract, []
 
@@ -165,7 +168,7 @@ class TestClassifySplitting:
         monkeypatch.setattr(ring, "_contract", spy)
         monkeypatch.setattr(ring, "intersection_number", no_call)
         classify_splitting(s)
-        assert calls == [1, 1, 1, 1]
+        assert calls == route
 
     # eps = min(dp(d), l) with a pencil, l without one; l is the hint, or 2
     @pytest.mark.parametrize("fid,by_hint", [

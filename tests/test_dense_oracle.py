@@ -17,8 +17,10 @@ import pytest
 
 from fanocalc import catalog, ring
 from fanocalc.classify import Splitting, classify_splitting, pencil_check
+from fanocalc.errors import GeometryError, InconsistentModelError
 from fanocalc.ring import (
     DivisorClass,
+    VarietyModel,
     blowup_points,
     intersection_number,
     make_blowup,
@@ -556,29 +558,38 @@ def test_bundles_match_dense_builder(base_recipe, summands):
     assert list(model.ample_ref.coeffs) == [t * c for c in base.ample_ref.coeffs] + [1]
 
 
+def dense_is_pencil(model, vec):
+    """D.D.B = 0 for every basis class B, and D.B.B' != 0 for some pair of them."""
+    m = len(model.basis)
+    units = [[Fraction(int(j == i)) for j in range(m)] for i in range(m)]
+    square_is_zero = all(dense_contract(model.form, m, [vec, vec, b]) == 0 for b in units)
+    nonzero = any(dense_contract(model.form, m, [vec, b, c]) != 0 for b in units for c in units)
+    return square_is_zero and nonzero
+
+
+def _pencil_candidates(model, seed, pencils):
+    """30 random integral vectors, then a random multiple of each listed pencil."""
+    m = len(model.basis)
+    rng = random.Random(seed)
+    candidates = [[Fraction(rng.randint(-2, 2)) for _ in range(m)] for _ in range(30)]
+    return candidates + [[rng.randint(1, 3) * c for c in model.divisor(p).coeffs] for p in pencils]
+
+
 # (recipe, classes known to be pencils there); random multiples of them give
 # the True cases, random integral classes mostly the False ones
-@pytest.mark.parametrize("recipe, pencils", [
+PENCIL_MODELS = [
     ("blowup_point(P(3), count=3)", ()),
     (RECIPE_4_9, ("H-E1",)),
     ("prod(P(1), blowup_point(P(2), count=3))", ("H1", "H2-E1", "H2-E3")),
-])
+]
+
+
+@pytest.mark.parametrize("recipe, pencils", PENCIL_MODELS)
 def test_pencil_check_matches_dense_loop(recipe, pencils):
     model = model_from_recipe(recipe)
-    m = len(model.basis)
-    units = [[Fraction(int(j == i)) for j in range(m)] for i in range(m)]
-    rng = random.Random(recipe)
-    candidates = [[Fraction(rng.randint(-2, 2)) for _ in range(m)] for _ in range(30)]
-    candidates += [[rng.randint(1, 3) * c for c in model.divisor(p).coeffs] for p in pencils]
     seen = set()
-    for vec in candidates:
-        square_is_zero = all(
-            dense_contract(model.form, m, [vec, vec, b]) == 0 for b in units
-        )
-        nonzero = any(
-            dense_contract(model.form, m, [vec, b, c]) != 0 for b in units for c in units
-        )
-        expected = square_is_zero and nonzero
+    for vec in _pencil_candidates(model, recipe, pencils):
+        expected = dense_is_pencil(model, vec)
         assert pencil_check(model, DivisorClass(model, tuple(vec))) is expected
         seen.add(expected)
     assert seen == ({True, False} if pencils else {False})
@@ -618,6 +629,85 @@ def test_fiber_degree_is_read_from_the_pencil_tests():
             assert classify_splitting(split)[:2] == (side, expected)
         checked += 1
     assert checked >= 12
+
+
+_DP_EPSILON = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(3, 2),
+               **dict.fromkeys(range(4, 9), Fraction(2)), 9: Fraction(3)}  # Broustet, 2006
+
+
+def dense_classify(s, ell_hint=None):
+    """classify_splitting's (pencil_side, fiber_degree, epsilon) from the full pencil test on
+    both parts and the fiber degree D_other^2.D_pencil, all by dense loops."""
+    for part in (s.d1, s.d2):
+        if any(c != int(c) for c in part.coeffs):
+            raise GeometryError("pencil test requires an integral class")
+    p1, p2 = (dense_is_pencil(s.model, part.coeffs) for part in (s.d1, s.d2))
+    if p1 and p2:
+        raise InconsistentModelError("both splitting parts define pencils; -K cannot be ample")
+    ell = Fraction(2 if ell_hint is None else ell_hint)
+    if not p1 and not p2:
+        return "none", None, ell
+    side, pencil, other = ("first", s.d1, s.d2) if p1 else ("second", s.d2, s.d1)
+    d = dense_intersection_number(s.model, [other, other, pencil])
+    if d not in _DP_EPSILON:
+        raise InconsistentModelError(f"fiber degree {d} is not a del Pezzo degree 1..9")
+    return side, int(d), min(_DP_EPSILON[d], ell)
+
+
+def two_pencil_model():
+    """-K = 2*H1 + 2*H2 with every H_i of numerical dimension one, as in
+    test_classify's test_both_pencils_rejected: a splitting kH1 + (-K - kH1) has
+    D1.D2.D2 = 0, and both parts are pencils at k = 2."""
+    return VarietyModel(name="fake", dimension=3, basis=("H1", "H2", "H3"),
+                        entries={(0, 1, 2): Fraction(1)}, anticanonical=(2, 2, 0),
+                        ample_ref=(1, 1, 1))
+
+
+def _splittings():
+    """(splitting, ell hints): the curated ones with no hint and the TSV's ell, the
+    two-pencil model's 2*H1 + 2*H2, and random integral D1, multiples of pencils and a
+    half-integral D1 on the pencil test's models and on the two-pencil model."""
+    for fid in catalog.recipes():
+        real = catalog.realize_recipe(fid)
+        split = Splitting(real.d1, real.d2, *real.free, real.nef_big_second)
+        yield split, (None, catalog.get_family(fid).ell)
+    fake = two_pencil_model()
+    yield Splitting(fake.divisor("2*H1"), fake.divisor("2*H2")), (None,)
+    models = [(model_from_recipe(recipe), recipe, pencils) for recipe, pencils in PENCIL_MODELS]
+    models.append((fake, "fake", ("H1", "H2", "H3")))
+    for model, seed, pencils in models:
+        minus_k = model.anticanonical
+        halves = [[Fraction(1, 2)] + [0] * (len(model.basis) - 1)]
+        for vec in _pencil_candidates(model, seed, pencils) + halves:
+            d1 = DivisorClass(model, tuple(vec))
+            if any(d1.coeffs) and d1 != minus_k:
+                yield Splitting(d1, minus_k - d1), (None,)
+
+
+def _answer(classify, s, ell_hint):
+    try:
+        return classify(s, ell_hint=ell_hint)[:3]
+    except (GeometryError, InconsistentModelError) as exc:
+        return type(exc), str(exc)
+
+
+def test_classifier_matches_dense_reference():
+    """Same answer or same error as the dense reference on every splitting, through
+    every branch of the classifier: c = D1.D2.D2 != 0 with the pencil on D1, and
+    c = 0 with the pencil on D2, with both parts pencils and with fiber degree 0."""
+    branches = set()
+    for s, hints in _splittings():
+        c = dense_intersection_number(s.model, [s.d1, s.d2, s.d2])
+        for ell_hint in hints:
+            expected = _answer(dense_classify, s, ell_hint)
+            assert _answer(classify_splitting, s, ell_hint) == expected, (s, ell_hint)
+        branches.add((c == 0, expected[0] if isinstance(expected[0], str) else expected[1]))
+    assert {
+        (False, "first"), (True, "second"),
+        (True, "both splitting parts define pencils; -K cannot be ample"),
+        (True, "fiber degree 0 is not a del Pezzo degree 1..9"),
+    } <= branches
+    assert {(False, "none"), (True, "none")} & branches
 
 
 def test_bundle_with_a_large_twist_builds():

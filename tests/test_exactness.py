@@ -253,7 +253,6 @@ def test_unreferenced_lint_sees_each_construct():
 
 # each has a consumer outside the package, so it and what it reaches are kept
 _UNREFERENCED_ON_PURPOSE = {
-    "pencil_check",  # bench/spans.py wraps it, and bench/tests/test_bench_spans.py asserts it exists
     "epsilon_general",  # ROADMAP item 3 puts it on the path of epsilon_of_family
     "pretty_print",  # ROADMAP item 6 names it as the printer of class texts in derivation records
 }
@@ -288,7 +287,8 @@ def test_minus_k_is_read_as_the_stored_tuple(module, function):
 
 
 # bench/spans.py times a parse by wrapping parser.parse_*: a call straight to parser._parse
-# would read 0 parser.calls, as classify.pencil_check.calls does
+# would read 0 parser.calls, as classify.pencil_check.calls misses the classifier's test of
+# D1, which calls classify._pencil_test for its rest
 @pytest.mark.parametrize("module, function, parse", [
     ("ring", "evaluate", "parse_class_expr"),
     ("ring", "VarietyModel.divisor", "parse_class_expr"),
