@@ -218,10 +218,10 @@ def ci_curve_center(
     two_g_minus_2 = sum(
         (2 * l - a) * d for l, a, d in zip(pencil.coeffs, middle._anticanonical, deg)
     )
-    genus = Fraction(two_g_minus_2 + 2, 2)
-    if genus.denominator != 1 or genus < 0:
-        raise GeometryError(f"complete intersection curve has invalid genus {genus}")
-    return int(genus), degrees
+    two_g = two_g_minus_2 + 2
+    if two_g % 2 or two_g < 0:
+        raise GeometryError(f"complete intersection curve has invalid genus {Fraction(two_g, 2)}")
+    return two_g // 2, degrees
 
 
 @lru_cache(maxsize=None)

@@ -352,7 +352,7 @@ def _as_int(value) -> int | None:
 # of another kind
 _RECIPE = ("a recipe", lambda v: v if type(v) is Call else None)
 _INT = ("an integer", _as_int)
-_CLASS = ("a class expression", lambda v: v if isinstance(v, ClassExpr) else None)
+_CLASS = ("a class expression", lambda v: v if isinstance(v, ClassExpr.__args__) else None)
 _CLASSES = ("a [class, ...] list", lambda v: tuple(v) if type(v) is list else None)
 _DEGREES = ("a {name: int, ...} mapping", lambda v: v if type(v) is tuple else None)
 

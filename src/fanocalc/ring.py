@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Optional, Union
 
 from . import parser as pmod
 from .errors import (
@@ -209,63 +210,65 @@ def _contract(
     """Form with the given entries applied to k <= n sparse class vectors in k slots.
 
     Returns the rest of the form, the sorted key of the other n - k slots mapped
-    to its value; a full contraction is keyed by ().  Three walks:
-    - product: a full contraction looks each ordered index tuple of its factors' supports
-      up as a sorted key, when that costs less than the walk it would replace;
-    - power: a full contraction with one vector object in every slot walks the stored keys
-      once; a key with index multiplicities k_i adds its value times n!/prod k_i! * prod v_i^k_i;
+    to its value; a full contraction is keyed by ().  Tried in this order:
+    - no factors: a copy;
+    - a full contraction, by the power walk, then the product walk, when it costs less
+      than the walk it would replace.  Power: one vector object in every slot walks the
+      stored keys once; a key with index multiplicities k_i adds its value times
+      n!/prod k_i! * prod v_i^k_i.  Product: each ordered index tuple of the factors'
+      supports is looked up as a sorted key;
     - one slot at a time, for everything else: v in one slot leaves the symmetric
       form F(v, ...), so each key and each distinct index i in it give the key less
-      one i, weighted by v_i.  No factors: a copy.
+      one i, weighted by v_i.
     Timed on the models' reference classes, a tuple costs about four stored keys of the
     power walk, plus four to start; a key of the one-slot walk costs k steps.  So a sparse
     query on a large model keeps the product walk: walking the stored keys made H1^2*H2^2
     on the product of two Bl_62 P^2 about 50 times slower, and a sum of many products 23 s.
     """
+    if not factors:
+        return dict(entries)
     k = len(factors)
-    full = k == len(next(iter(entries), ()))  # every stored key has n indices
-    tuples = full and math.prod(map(len, factors))
-    power = (full and factors and 4 * tuples + 4 > len(entries)
-             and all(vec is factors[0] for vec in factors))
-    if full and not power and tuples <= len(entries) * k:
-        total = 0
-        for indices in itertools.product(*factors):
-            term = entries.get(tuple(sorted(indices)))
-            if term:
-                for vec, i in zip(factors, indices):
-                    term *= vec[i]
-                total += term
-        return {(): total}
-    if power:
-        vec, fact, total = factors[0], math.factorial(k), 0
-        for key, value in entries.items():
-            prev, run, repeats = None, 0, 1  # repeats: prod k_i!, built up one index at a time
-            for i in key:
-                if i == prev:  # keys are sorted, so repeats are neighbours
-                    run += 1
-                    repeats *= run
+    if k == len(next(iter(entries), ())):  # full: every stored key has n indices
+        tuples, vec = math.prod(map(len, factors)), factors[0]
+        if 4 * tuples + 4 > len(entries) and all(v is vec for v in factors):
+            get, fact, total = vec.get, math.factorial(k), 0
+            for key, value in entries.items():
+                prev, run, repeats = None, 0, 1  # repeats: prod k_i!, built up one index at a time
+                for i in key:
+                    if i == prev:  # keys are sorted, so repeats are neighbours
+                        run += 1
+                        repeats *= run
+                    else:
+                        x = get(i)
+                        if not x:
+                            break
+                        prev, run = i, 1
+                    value *= x
                 else:
-                    x = vec.get(i)
-                    if not x:
-                        break
-                    prev, run = i, 1
-                value *= x
-            else:
-                total += value * (fact // repeats)
-        return {(): total}
+                    total += value * (fact // repeats)
+            return {(): total}
+        if tuples <= len(entries) * k:
+            get, total = entries.get, 0
+            for indices in itertools.product(*factors):
+                term = get(tuple(sorted(indices)))
+                if term:
+                    for vec, i in zip(factors, indices):
+                        term *= vec[i]
+                    total += term
+            return {(): total}
     rest = entries
     for vec in factors:
-        walked, rest = rest, {}
+        walked, rest, get = rest, {}, vec.get
         for key, value in walked.items():
             prev = None
             for pos, i in enumerate(key):
                 if i != prev:  # keys are sorted, so an index equal to its left neighbour repeats it
                     prev = i
-                    x = vec.get(i)
+                    x = get(i)
                     if x:
                         left = key[:pos] + key[pos + 1:]
                         rest[left] = rest.get(left, 0) + value * x
-    return rest if factors else dict(entries)
+    return rest
 
 
 def intersection_number(model: VarietyModel, classes: Sequence[DivisorClass]) -> Fraction:
@@ -362,6 +365,11 @@ def _walk(model: VarietyModel, e: pmod.ClassExpr, named: Mapping = {}) -> list[_
         if e.exp > model.dimension:
             raise DegreeError(f"exponent {e.exp} is above the dimension of {model.name}")
         base = _walk(model, e.base, named)
+        if len(base) == 1:  # one term: its coefficient's power and its factors e times
+            (c, f), = base
+            if len(f) * e.exp > model.dimension:
+                raise DegreeError(f"more than {model.dimension} classes multiplied on {model.name}")
+            return [(c ** e.exp, f * e.exp)]
         out: list[_Term] = [(1, ())]
         for _ in range(e.exp):
             out = _multiply(model, out, base)

@@ -369,6 +369,10 @@ class TestRecipes:
             ci_curve_center(p3, ring.blowup_points(p3, 1).divisor("H"))
         with pytest.raises(GeometryError, match="^non-integral curve degree 1/4 against H$"):
             ci_curve_center(p3, p3.divisor("1/2*H"))
+        # 2g - 2 = (K + 2H).H.H = -1 with H^3 = 1 and -K = 3H
+        odd = ring.VarietyModel("odd", 3, ["H"], {(0, 0, 0): 1}, [3], [1])
+        with pytest.raises(GeometryError, match="^complete intersection curve has invalid genus 1/2$"):
+            ci_curve_center(odd, odd.divisor("H"))
 
     def test_recorded_triples(self):
         triples = {fid: expr for _, _, fid, _, expr, expected in classify._ROWS if expected == "-K"}

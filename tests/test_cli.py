@@ -90,6 +90,7 @@ class TestDeg:
 
     @pytest.mark.parametrize("expr,message", [
         ("H*H*H*H", "more than 3 classes multiplied on P3"),
+        ("(H^2)^2", "more than 3 classes multiplied on P3"),
         ("1/0*H^3", "zero denominator (at offset 2)"),
     ])
     def test_domain_error_message(self, capsys, expr, message):

@@ -45,11 +45,17 @@ other are not reached.  The match is by name only, so a method that shares its n
 with an attribute or a variable (as ``IntersectionForm.value`` did with
 ``Num.value``) gets past it.
 
+No ``typing`` alias in ``isinstance``: such an alias runs its ``__instancecheck__`` in
+Python, and ``isinstance(x, typing.Mapping)`` took about three times as long as against
+``collections.abc.Mapping`` (1.03 against 0.37 µs on Python 3.11).  A test of a union of classes takes the tuple of its classes.
+
 The package binds only its modules and ``parse_family_id``.
 """
 
 import ast
+import builtins
 import collections
+import importlib
 import subprocess
 import sys
 import types
@@ -309,6 +315,53 @@ def test_contract_walks_one_slot_at_a_time():
 def test_printer_reads_the_binding_table():
     assert set(fanocalc.parser._BINDING) == set(typing.get_args(fanocalc.parser.ClassExpr))
     assert "isinstance" not in names_in("parser", "pretty_print")
+
+
+def typing_isinstance(source, scope):
+    """Lines of the ``isinstance`` calls in ``source`` whose class argument, read in ``scope``
+    as a name, an attribute or a tuple of them, is a ``typing`` alias or holds one."""
+
+    def read(node):
+        if isinstance(node, ast.Name):
+            return scope[node.id]
+        if isinstance(node, ast.Attribute):
+            return getattr(read(node.value), node.attr)
+        if isinstance(node, ast.Tuple):
+            return tuple(read(n) for n in node.elts)
+        raise ValueError(f"line {node.lineno}: cannot read {ast.unparse(node)}")
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            classes = read(node.args[1])
+            if any(type(c).__module__ == "typing"
+                   for c in (classes if isinstance(classes, tuple) else (classes,))):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_typing_isinstance_lint_sees_each_construct():
+    source = (
+        "import typing\nimport collections.abc as abc\nU = typing.Union[int, str]\n"
+        "def f(x):\n"
+        "    return (isinstance(x, typing.Mapping)\n"
+        "            or isinstance(x, abc.Mapping)\n"
+        "            or isinstance(x, (int, U))\n"
+        "            or isinstance(x, U.__args__)\n"
+        "            or isinstance(x, U))\n"
+    )
+    scope = {}
+    exec(source, scope)
+    assert typing_isinstance(source, {**vars(builtins), **scope}) == [5, 7, 9]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_isinstance_takes_no_typing_alias(path):
+    source, scope = path.read_text(), {}
+    if "isinstance" in source:  # so __main__, which runs the command line, is not imported
+        module = importlib.import_module(f"fanocalc.{path.stem}".removesuffix(".__init__"))
+        scope = {**vars(builtins), **vars(module)}
+    assert typing_isinstance(source, scope) == []
 
 
 def test_package_binds_only_its_modules():

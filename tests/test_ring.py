@@ -364,6 +364,23 @@ class TestBlowup:
         assert model.evaluate(text) == value
         assert calls == [3]
 
+    def test_one_term_power_makes_no_product(self, monkeypatch):
+        model = blowup_points(P(3), 3)
+        a = model.divisor("2*H-E1")
+        calls = []
+        multiply = ring._multiply
+
+        def counting_multiply(model, a, b):
+            calls.append((a, b))
+            return multiply(model, a, b)
+
+        monkeypatch.setattr(ring, "_multiply", counting_multiply)
+        assert model.evaluate("(2*H-E1)^3") == 7 == ring.evaluate(model, "A^3", {"A": a})
+        assert calls == []
+        # a base of two terms goes through the loop: its two products, then one per factor
+        assert model_from_recipe("prod(P(1),P(1),P(1),P(1))").evaluate("(H1*H2+H3*H4)^2") == 2
+        assert len(calls) == 4
+
     def test_curve_blowup_line(self):
         m = make_blowup(P(3), 0, {"H": 1})
         # E^3 = 2 - 2g + deg(-K_Y restricted to C) = 2 + (-4) applied to degree 1
